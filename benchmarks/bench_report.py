@@ -1,32 +1,33 @@
 """Machine-readable commitment-path benchmark.
 
-Measures the hot path this repo optimizes — MTT labeling and
-reconstruction — and writes ``BENCH_commit.json`` at the repo root so
-regressions are diffable:
+Measures what a commitment round costs the recorder and writes
+``BENCH_commit.json`` at the repo root so regressions are diffable:
 
-* serial labeling (cold = first round, building the flattened schedule;
-  steady = schedule cached, the per-commitment-round cost);
-* per-node labeling cost in nanoseconds;
-* the *warm* shared-memory worker pool at c ∈ {1, 2, 4, 8}
+* the serial round as ``Recorder.make_commitment`` pays it: build the
+  MTT from the prefix entries, draw the randomness, label — from
+  scratch every round, with a fresh seed (§5.3), split into build,
+  labeling (draw + hash) and the hash pass alone;
+* the shared-memory worker pool at c ∈ {1, 2, 4, 8}
   (:class:`repro.mtt.pool.LabelPool` via
-  :func:`repro.mtt.labeling.label_tree_parallel`), reporting one-time
-  spin-up (worker spawn + program install) separately from steady-state
-  rounds — conflating the two is what made the pre-warm-pool numbers
-  misleading; on a box with a single core the pool cannot beat serial —
+  :func:`repro.mtt.labeling.label_tree_parallel`): the from-scratch
+  round (which re-installs the new shape every round, as the recorder
+  does), the hash phase on an installed shape, and the one-time
+  spin-up; on a box with few cores the pool cannot beat serial —
   ``cores`` is recorded so the numbers can be interpreted;
-* a ``trajectory`` block (seed → PR 1 → current, measured on the
-  original bench box) so the labeling story is diffable at a glance;
+* a ``trajectory`` block (seed → first pool → warm pool → node-object
+  round → current, measured on the bench box of the time) so the
+  commitment-round story is diffable at a glance;
 * proof-generator reconstruction cache hit rate for a batch of
   verifications against one commitment.
 
 CI runs ``--quick --check-against BENCH_commit.json``: a fast pass that
-fails if (a) serial steady-state cost per node regresses back to the
-seed baseline (ns/node is box-sensitive but the seed ran on a
-comparable-or-faster box, so this is a loose no-regression floor), or
-(b) on a runner with ≥ 4 cores, the warm pool at 4 workers is slower
-than serial in the same run — the exact regression this PR fixes, and a
-same-box comparison so it is machine-independent.  Quick mode writes no
-files.
+fails if (a) the serial round cost per node regresses past the seed
+baseline (ns/node is box-sensitive but the seed ran on a
+comparable-or-faster box and labeled only, so this is a loose
+no-regression floor), or (b) on a runner with ≥ 4 cores, the pool's
+hash phase at 4 workers is slower than the serial hash pass in the
+same run — a same-box comparison, so it is machine-independent.  Quick
+mode writes no files.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_report.py``.
 """
@@ -41,7 +42,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.crypto.rc4 import Rc4Csprng  # noqa: E402
 from repro.harness.experiments import run_replay_experiment  # noqa: E402
-from repro.mtt.labeling import label_tree, label_tree_parallel  # noqa: E402
+from repro.mtt.labeling import label_slots, label_tree, \
+    label_tree_parallel  # noqa: E402
 from repro.mtt.pool import LabelPool  # noqa: E402
 from repro.mtt.tree import Mtt  # noqa: E402
 from repro.obs.export import snapshot  # noqa: E402
@@ -50,7 +52,7 @@ from repro.traces.workload import generate_prefixes  # noqa: E402
 
 N_PREFIXES = 2000
 K = 50
-STEADY_ROUNDS = 3
+ROUNDS = 5
 POOL_WIDTHS = (1, 2, 4, 8)
 
 #: Measured at the seed commit on this machine, same workload and box.
@@ -59,11 +61,11 @@ SEED_BASELINE = {
     "label_ns_per_node": 6275.8,
 }
 
-#: The labeling story so far, measured on the original bench box (one
-#: core — pool numbers there show overhead, not speedup).  PR 1's pool
-#: spawned a fresh ProcessPoolExecutor and pickled per-subtree op lists
-#: every round, so its per-round "seconds" include what is now split
-#: out as spin-up; the warm pool pays spawn+install once instead.
+#: The commitment-round story so far, measured on the bench box of the
+#: time (one core — pool numbers there show overhead, not speedup).
+#: Up to the warm pool, the headline re-labeled one cached tree; the
+#: recorder builds a fresh tree every round, which ``node_objects``
+#: measured.
 TRAJECTORY_HISTORY = {
     "seed": {
         "serial_steady_seconds": 1.052,
@@ -77,89 +79,113 @@ TRAJECTORY_HISTORY = {
         "note": "cold ProcessPoolExecutor + pickled op lists every "
                 "round — workers were a regression at any width",
     },
+    "warm_pool": {
+        "serial_steady_seconds": 0.4357,
+        "serial_steady_hash_seconds": 0.117,
+        "pool_steady_seconds": {"1": 0.1189, "2": 0.1993, "4": 0.1928,
+                                "8": 0.2035},
+        "note": "warm shared-memory pool; relabel of one cached tree, "
+                "which the recorder never does",
+    },
+    "node_objects": {
+        "serial_round_seconds": 0.96,
+        "note": "build + draw + label from scratch on node objects "
+                "plus a cold FlatSchedule (same workload, 2-vCPU box, "
+                "median of 3 x 5 rounds)",
+    },
 }
 
 
-def build_tree(n_prefixes: int, k: int) -> Mtt:
-    prefixes = generate_prefixes(n_prefixes, seed=7)
-    entries = {p: [1] * k for p in prefixes}
-    return Mtt.build(entries)
+def make_entries(n_prefixes: int, k: int) -> dict:
+    return {p: [1] * k for p in generate_prefixes(n_prefixes, seed=7)}
 
 
-def measure_serial(tree: Mtt, steady_rounds: int) -> dict:
+def time_hash_pass(tree: Mtt, seed: bytes) -> float:
+    """The hash pass alone, over a pre-drawn randomness list."""
+    shape = tree.schedule()
+    draws = Rc4Csprng(seed).bitstrings(shape.n_leaves)
     start = time.perf_counter()
-    label_tree(tree, Rc4Csprng(b"bench-cold"))
-    cold = time.perf_counter() - start
-    steady = []
-    hash_steady = []
-    for i in range(steady_rounds):
+    label_slots(shape.slot_kinds, shape.slot_bits, shape.child_offsets,
+                shape.child_slots, draws, 0, shape.n_slots)
+    return time.perf_counter() - start
+
+
+def measure_serial(entries: dict, rounds: int) -> dict:
+    builds, labels, totals = [], [], []
+    for i in range(rounds):
         start = time.perf_counter()
-        round_report = label_tree(tree, Rc4Csprng(b"bench-%d" % i))
-        steady.append(time.perf_counter() - start)
-        hash_steady.append(round_report.seconds)
-    total = tree.census().total
-    best = min(steady)
+        tree = Mtt.build(entries)
+        built = time.perf_counter()
+        report = label_tree(tree, Rc4Csprng(b"bench-%d" % i))
+        totals.append(time.perf_counter() - start)
+        builds.append(built - start)
+        labels.append(report.seconds)
+    best = min(totals)
+    hash_seconds = min(time_hash_pass(tree, b"bench-hash-%d" % i)
+                       for i in range(rounds))
     return {
-        "cold_seconds": round(cold, 4),
-        # Full round: CSPRNG randomness draw (inherently serial; §6.5
+        # The recorder's round: build + randomness draw + hash pass.
+        "round_seconds": round(best, 4),
+        "build_seconds": round(min(builds), 4),
+        # Labeling call: the CSPRNG draw (inherently serial; §6.5
         # replay fixes its order) + the hash pass.
-        "steady_seconds": round(best, 4),
-        # Hash pass alone — the part the worker pool parallelizes; pool
-        # steady_seconds below are measured on the same phase.
-        "steady_hash_seconds": round(min(hash_steady), 4),
-        "steady_ns_per_node": round(best / total * 1e9, 1),
-        "speedup_vs_seed_steady": round(
+        "label_seconds": round(min(labels), 4),
+        # Hash pass alone — the part the worker pool parallelizes.
+        "hash_seconds": round(hash_seconds, 4),
+        "round_ns_per_node": round(best / tree.census().total * 1e9, 1),
+        "speedup_vs_seed": round(
             SEED_BASELINE["label_total_seconds"] / best, 2),
-        "speedup_vs_seed_cold": round(
-            SEED_BASELINE["label_total_seconds"] / cold, 2),
     }
 
 
-def measure_pool(tree: Mtt, widths, steady_rounds: int) -> dict:
-    """Warm-pool steady state per width, spin-up split out.
+def measure_pool(entries: dict, widths, rounds: int) -> dict:
+    """Per width: the from-scratch round, the hash phase on an
+    installed shape, and the one-time spin-up.
 
     Every width labels with the same seed once ("bench-pool") so the
     byte-identical-roots criterion is checked *in the benchmark*, not
-    just in tests; the remaining rounds vary the seed like real
-    commitment rounds do.
+    just in tests.
     """
-    golden = label_tree(tree, Rc4Csprng(b"bench-pool")).root_label
-    out = {"golden_root": golden.hex()}
+    golden = label_tree(Mtt.build(entries),
+                        Rc4Csprng(b"bench-pool")).root_label
+    out: dict = {"golden_root": golden.hex()}
     for width in widths:
-        if width == 1:
-            report = label_tree_parallel(tree, Rc4Csprng(b"bench-pool"),
-                                         workers=1)
-            out[str(width)] = {
-                "steady_seconds": round(report.seconds, 4),
-                "spinup_seconds": 0.0,
-                "mode": report.mode,
-                "jobs": report.jobs,
-                "root_matches_serial":
-                    report.root_label == golden,
-            }
-            continue
-        pool = LabelPool(width)
+        pool = LabelPool(width) if width > 1 else None
         try:
             first = label_tree_parallel(
-                tree, Rc4Csprng(b"bench-pool"), workers=width,
-                pool=pool)
-            steady = []
-            for i in range(steady_rounds):
-                report = label_tree_parallel(
-                    tree, Rc4Csprng(b"bench-%d" % i), workers=width,
-                    pool=pool)
-                steady.append(report.seconds)
+                Mtt.build(entries), Rc4Csprng(b"bench-pool"),
+                workers=width, pool=pool)
+            round_seconds = []
+            for i in range(rounds):
+                start = time.perf_counter()
+                tree = Mtt.build(entries)
+                label_tree_parallel(tree, Rc4Csprng(b"bench-%d" % i),
+                                    workers=width, pool=pool)
+                round_seconds.append(time.perf_counter() - start)
+            hash_seconds = []
+            for _ in range(rounds):
+                if pool is None:
+                    hash_seconds.append(time_hash_pass(tree, b"bench-hash"))
+                    continue
+                draws = Rc4Csprng(b"bench-hash").bitstrings(
+                    tree.schedule().n_leaves)
+                start = time.perf_counter()
+                pool.label(tree, 4, draws)  # this shape is installed
+                hash_seconds.append(time.perf_counter() - start)
             out[str(width)] = {
-                "steady_seconds": round(min(steady), 4),
-                # one-time: worker spawn + shared-memory program install
+                "round_seconds": round(min(round_seconds), 4),
+                "steady_hash_seconds": round(min(hash_seconds), 4),
+                # one-time: worker spawn + first shape install
                 "spinup_seconds": round(
-                    pool.spinup_seconds + first.spinup_seconds, 4),
+                    (pool.spinup_seconds if pool else 0.0)
+                    + first.spinup_seconds, 4),
                 "mode": first.mode,
                 "jobs": first.jobs,
                 "root_matches_serial": first.root_label == golden,
             }
         finally:
-            pool.close()
+            if pool is not None:
+                pool.close()
     return out
 
 
@@ -182,18 +208,19 @@ def check_against(report: dict, path: str) -> int:
 
     Two machine-robust checks:
 
-    * serial guard — steady ns/node must stay below the committed seed
-      baseline (the measurement this repo started from; being slower
-      than that means the optimization work regressed outright);
-    * pool guard (≥ 4 cores only) — the warm pool at 4 workers must not
-      be slower than serial *in the same run*.  Same box, same workload,
-      same process: if this fails, the parallel-labeling regression is
-      back.
+    * serial guard — the round's ns/node (build + draw + hash) must
+      stay below the committed seed baseline (the measurement this repo
+      started from; being slower than that means the optimization work
+      regressed outright);
+    * pool guard (≥ 4 cores only) — the pool's hash phase at 4 workers
+      must not be slower than the serial hash pass *in the same run*.
+      Same box, same workload, same process: if this fails, the
+      parallel-labeling regression is back.
     """
     with open(path) as handle:
         committed = json.load(handle)
     seed_floor = committed["seed_baseline"]["label_ns_per_node"]
-    measured_ns = report["serial"]["steady_ns_per_node"]
+    measured_ns = report["serial"]["round_ns_per_node"]
     serial_ok = measured_ns <= seed_floor
     cores = report["cores"] or 1
     verdict = {
@@ -207,14 +234,14 @@ def check_against(report: dict, path: str) -> int:
     if cores >= 4 and pool4 is not None and pool4["mode"] == "process":
         # Hash phase vs hash phase: the randomness draw is serial in
         # every mode, so it is excluded from both sides.
-        serial_hash = report["serial"]["steady_hash_seconds"]
-        pool_ok = pool4["steady_seconds"] <= serial_hash
+        serial_hash = report["serial"]["hash_seconds"]
+        pool_ok = pool4["steady_hash_seconds"] <= serial_hash
         verdict.update({
-            "pool4_steady_seconds": pool4["steady_seconds"],
-            "serial_steady_hash_seconds": serial_hash,
+            "pool4_steady_hash_seconds": pool4["steady_hash_seconds"],
+            "serial_hash_seconds": serial_hash,
             "pool4_speedup": round(
-                serial_hash / pool4["steady_seconds"], 2)
-            if pool4["steady_seconds"] else None,
+                serial_hash / pool4["steady_hash_seconds"], 2)
+            if pool4["steady_hash_seconds"] else None,
             "pool_ok": pool_ok,
         })
     else:
@@ -228,13 +255,13 @@ def check_against(report: dict, path: str) -> int:
     verdict["ok"] = serial_ok and pool_ok and roots_ok
     print(json.dumps({"check_against": verdict}, indent=2))
     if not serial_ok:
-        print(f"FAIL: serial steady {measured_ns:.1f} ns/node regressed "
+        print(f"FAIL: serial round {measured_ns:.1f} ns/node regressed "
               f"past the seed baseline {seed_floor:.1f}",
               file=sys.stderr)
     if not pool_ok:
-        print("FAIL: warm pool at 4 workers is slower than serial on a "
-              f"{cores}-core box — the parallel-labeling regression is "
-              "back", file=sys.stderr)
+        print("FAIL: pool hash phase at 4 workers is slower than serial "
+              f"on a {cores}-core box — the parallel-labeling "
+              "regression is back", file=sys.stderr)
     if not roots_ok:
         print("FAIL: a pool mode produced a root differing from serial",
               file=sys.stderr)
@@ -254,18 +281,18 @@ def main() -> None:
              "BENCH_commit.json (exit 1 on regression)")
     args = parser.parse_args()
     if args.quick:
-        n_prefixes, k, steady_rounds = 600, 50, 2
+        n_prefixes, k, rounds = 600, 50, 2
         widths = (1, 4)
     else:
-        n_prefixes, k, steady_rounds = N_PREFIXES, K, STEADY_ROUNDS
+        n_prefixes, k, rounds = N_PREFIXES, K, ROUNDS
         widths = POOL_WIDTHS
 
     # The whole run reports into a fresh obs registry, whose snapshot is
     # written next to the BENCH json for cost attribution
     # (``python -m repro.obs.dump --snapshot BENCH_commit_obs.json``).
     with use_registry(Registry()) as registry:
-        tree = build_tree(n_prefixes, k)
-        census = tree.census()
+        entries = make_entries(n_prefixes, k)
+        census = Mtt.build(entries).census()
         report = {
             "workload": {
                 "n_prefixes": n_prefixes,
@@ -276,26 +303,24 @@ def main() -> None:
             },
             "cores": os.cpu_count(),
             "seed_baseline": SEED_BASELINE,
-            "serial": measure_serial(tree, steady_rounds),
-            "pool": measure_pool(tree, widths, steady_rounds),
+            "serial": measure_serial(entries, rounds),
+            "pool": measure_pool(entries, widths, rounds),
         }
         report["trajectory"] = dict(
             TRAJECTORY_HISTORY,
             current={
-                "serial_steady_seconds":
-                    report["serial"]["steady_seconds"],
-                "serial_steady_hash_seconds":
-                    report["serial"]["steady_hash_seconds"],
-                "pool_steady_seconds": {
-                    key: value["steady_seconds"]
+                "serial_round_seconds": report["serial"]["round_seconds"],
+                "serial_hash_seconds": report["serial"]["hash_seconds"],
+                "pool_round_seconds": {
+                    key: value["round_seconds"]
                     for key, value in report["pool"].items()
                     if isinstance(value, dict)},
-                "pool_spinup_seconds": {
-                    key: value["spinup_seconds"]
+                "pool_steady_hash_seconds": {
+                    key: value["steady_hash_seconds"]
                     for key, value in report["pool"].items()
                     if isinstance(value, dict)},
-                "note": "warm shared-memory pool; spin-up paid once "
-                        "per deployment, not per round",
+                "note": "array-native MTT: build + draw + label from "
+                        "scratch each round, no node objects",
             })
         if not args.quick:
             report["proofgen_cache_hit_rate"] = round(

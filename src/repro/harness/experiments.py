@@ -223,13 +223,16 @@ class LabelingResult:
     #: that the makespan model schedules — the apples-to-apples baseline
     #: for :meth:`speedup`.
     sequential_seconds: float
-    #: Serial labeling time of the fast flat-schedule path
-    #: (:func:`repro.mtt.labeling.label_tree`); always ≤ the above.
+    #: Serial labeling call (:func:`repro.mtt.labeling.label_tree`):
+    #: the randomness draw plus the hash pass.
     flat_seconds: float
     makespans: Dict[int, float]  # workers → modeled seconds
     hash_count: int
-    #: workers → measured steady-state wall-clock of a real pool run —
-    #: hash phase only, spawn/install split into ``pool_spinup_seconds``
+    #: workers → the model run's own serial labeling time, the
+    #: baseline :meth:`speedup` divides by (same run, same CPU speed).
+    model_sequential: Dict[int, float] = field(default_factory=dict)
+    #: workers → measured wall-clock of a real pool run — draw plus
+    #: hash phase, spawn/install split into ``pool_spinup_seconds``
     #: (only populated when ``pool_workers`` was requested).
     pool_seconds: Dict[int, float] = field(default_factory=dict)
     #: workers → one-time pool spawn + program install cost.
@@ -238,10 +241,11 @@ class LabelingResult:
     pool_mode: str = ""
 
     def speedup(self, workers: int) -> float:
-        return self.sequential_seconds / self.makespans[workers]
+        return self.model_sequential[workers] / self.makespans[workers]
 
     def pool_speedup(self, workers: int) -> float:
-        return self.sequential_seconds / self.pool_seconds[workers]
+        # Both sides time a whole labeling call: draw plus hash phase.
+        return self.flat_seconds / self.pool_seconds[workers]
 
 
 def labeling_experiment(n_prefixes: int = 2000, k: int = 50,
@@ -260,12 +264,14 @@ def labeling_experiment(n_prefixes: int = 2000, k: int = 50,
     tree = Mtt.build(entries)
     flat = label_tree(tree, Rc4Csprng(b"label-exp"))
     makespans: Dict[int, float] = {}
+    model_sequential: Dict[int, float] = {}
     sequential_seconds = 0.0
     for c in workers:
         tree_c = Mtt.build(entries)
         report = parallel_labeling_report(tree_c, Rc4Csprng(b"label-exp"),
                                           workers=c)
         makespans[c] = report.makespan_seconds
+        model_sequential[c] = report.sequential_seconds
         # Modeled makespans schedule real per-subtree times, so the
         # speedup baseline must be the same traversal run serially.
         sequential_seconds = report.sequential_seconds
@@ -289,6 +295,7 @@ def labeling_experiment(n_prefixes: int = 2000, k: int = 50,
                           flat_seconds=flat.seconds,
                           makespans=makespans,
                           hash_count=flat.hash_count,
+                          model_sequential=model_sequential,
                           pool_seconds=pool_seconds,
                           pool_spinup_seconds=pool_spinup_seconds,
                           pool_mode=pool_mode)

@@ -9,31 +9,32 @@ hashes.
 from .aggregation import aggregate_bits, aggregation_candidates, \
     aggregation_overhead, sibling, with_aggregates
 from .labeling import LabelingReport, ParallelLabelReport, \
-    ParallelReport, assign_randomness, compute_label, label_tree, \
-    label_tree_parallel, label_tree_with_workers, \
+    ParallelReport, assign_randomness, compute_label, label_slots, \
+    label_tree, label_tree_parallel, label_tree_with_workers, \
     parallel_labeling_report
 from .nodes import BitNode, DummyNode, EDGE_END, EDGE_ONE, EDGE_ZERO, \
     EDGES, InnerNode, MttNode, PrefixNode, validate_structure
-from .pool import LabelPool, PoolBrokenError, RoundResult, subtree_jobs
+from .pool import LabelPool, PoolBrokenError, RoundResult
 from .proofs import LabelDigestCache, MttBitProof, PathStep, ProofError, \
     generate_proof, verify_proof
 from .stats import PAPER_CENSUS, PAPER_MTT_BYTES, ScaleComparison, \
     predict_census, slot_identity_holds
-from .tree import FlatSchedule, Mtt, NodeCensus
+from .tree import FlatSchedule, Mtt, NodeCensus, subtree_jobs, \
+    upper_slots
 
 __all__ = [
     "aggregate_bits", "aggregation_candidates", "aggregation_overhead",
     "sibling", "with_aggregates",
     "LabelingReport", "ParallelLabelReport", "ParallelReport",
-    "assign_randomness", "compute_label", "label_tree",
+    "assign_randomness", "compute_label", "label_slots", "label_tree",
     "label_tree_parallel", "label_tree_with_workers",
     "parallel_labeling_report",
     "BitNode", "DummyNode", "EDGE_END", "EDGE_ONE", "EDGE_ZERO", "EDGES",
     "InnerNode", "MttNode", "PrefixNode", "validate_structure",
-    "LabelPool", "PoolBrokenError", "RoundResult", "subtree_jobs",
+    "LabelPool", "PoolBrokenError", "RoundResult",
     "LabelDigestCache", "MttBitProof", "PathStep", "ProofError",
     "generate_proof", "verify_proof",
     "PAPER_CENSUS", "PAPER_MTT_BYTES", "ScaleComparison",
     "predict_census", "slot_identity_holds",
-    "FlatSchedule", "Mtt", "NodeCensus",
+    "FlatSchedule", "Mtt", "NodeCensus", "subtree_jobs", "upper_slots",
 ]

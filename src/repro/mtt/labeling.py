@@ -7,31 +7,34 @@ All random bitstrings come from the seeded CSPRNG so that the proof
 generator can reconstruct a past MTT from the stored 32-byte seed
 (Section 6.5).
 
-Randomness is assigned in one deterministic depth-first pass *before* any
-hashing, so the labeling work can then be partitioned into independent
-subtrees.  The hashing itself runs over the tree's cached
-:class:`~repro.mtt.tree.FlatSchedule`: arrays of node references in
-post-order, computed once per tree shape and reused across commitment
-rounds, so the per-round loops carry no isinstance dispatch and no
-repeated traversal.
+A labeling is one ``Rc4Csprng.bitstrings`` draw — one bitstring per
+leaf, consumed in the tree's leaf order (see
+:class:`~repro.mtt.tree.FlatSchedule`) — followed by one serial pass
+over the slot arrays (:func:`label_slots`) that cuts the draw into the
+leaf labels and hashes every interior slot in post-order into a
+per-commitment label list.  The list and the draw land on the tree
+(``tree.labels``, ``tree.draws``) for :mod:`repro.mtt.proofs`; the
+recorder drops both with the tree once it has the root.
 
 The paper's prototype labels subtrees on ``c`` commitment threads
 (Section 7.1).  :func:`label_tree_parallel` reproduces this for real via
-:class:`~repro.mtt.pool.LabelPool`: a *warm* pool of worker processes
-sharing the tree's flat hash program and label slots through
-``multiprocessing.shared_memory``, so steady-state rounds move a few
-control bytes per worker instead of pickled subtrees (see
-:mod:`repro.mtt.pool` for the buffer layout and failure model).  Because
-all randomness is assigned serially up front and every label is a pure
-function of its subtree, pool, thread-fallback, serial, and
-failure-fallback labeling produce byte-identical labels on every node
-from the same seed (property-tested).
+:class:`~repro.mtt.pool.LabelPool`, a warm pool of worker processes that
+run :func:`label_slots` over contiguous subtree slot blocks in shared
+memory.  Because the randomness is drawn serially up front and every
+label is a pure function of its subtree, pool, thread-fallback, serial,
+and failure-fallback labeling produce byte-identical labels on every
+slot from the same seed (property-tested).
 
 :func:`parallel_labeling_report` is retained as a *model* cross-check: it
 measures real per-subtree labeling times and reports the makespan of a
 greedy longest-first schedule over ``c`` workers — the same wall-clock
 quantity the paper measures — which remains useful on machines whose
 core count cannot support the real pool (see DESIGN.md).
+
+:func:`assign_randomness` and :func:`compute_label` are the reference
+implementation over the node view (:meth:`repro.mtt.tree.Mtt.nodes`):
+pre-order randomness and recursive hashing, written independently of
+the slot arrays so tests can pin the fast pass to them.
 """
 
 from __future__ import annotations
@@ -39,14 +42,19 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ..crypto.hashing import DIGEST_SIZE, bit_commitment, digest_concat
 from ..crypto.rc4 import Rc4Csprng
 from ..obs.registry import get_registry
 from .nodes import BitNode, DummyNode, MttNode, PrefixNode
-from .pool import LabelPool, PoolBrokenError, subtree_jobs
-from .tree import Mtt
+from .tree import FlatSchedule, Mtt, NodeCensus, SLOT_DUMMY, SLOT_INNER, \
+    SLOT_PREFIX, subtree_jobs, upper_slots
+
+if TYPE_CHECKING:
+    from .pool import LabelPool
+
+_PREFIX_BYTE = bytes([SLOT_PREFIX])
 
 
 def _observe_labeling(mode: str, seconds: float, hashes: int,
@@ -54,9 +62,9 @@ def _observe_labeling(mode: str, seconds: float, hashes: int,
     """Publish one labeling run to the instrumentation registry.
 
     Feeds the Section 7.5 cost attribution: ``mtt_label_seconds`` is the
-    wall-clock of the hash phase (bucketed by pool mode), and the pool
-    gauges record how the work was spread over the paper's ``c``
-    commitment workers.
+    wall-clock of the whole labeling call — randomness draw plus hash
+    pass — bucketed by pool mode, and the pool gauges record how the
+    work was spread over the paper's ``c`` commitment workers.
     """
     registry = get_registry()
     registry.counter("mtt_labelings_total", mode=mode).inc()
@@ -66,42 +74,17 @@ def _observe_labeling(mode: str, seconds: float, hashes: int,
     registry.gauge("mtt_pool_jobs").set(jobs)
 
 
-def assign_randomness(tree: Mtt, csprng: Rc4Csprng) -> None:
-    """Deterministic DFS pass giving every bit node a blinding and every
-    dummy node its random label.
-
-    Draws one bitstring per dummy/bit node in the schedule's fixed DFS
-    order (one blocked CSPRNG draw for the whole tree), then invalidates
-    every previously computed label.
-    """
-    _assign_randomness_fast(tree, csprng)
-    for node in tree.schedule().reset_nodes:
-        node.label = None
+def _hash_count(census: NodeCensus) -> int:
+    # One hash per bit node and per interior node (dummies are free).
+    return census.bit + census.prefix + census.inner
 
 
-def _assign_randomness_fast(tree: Mtt,
-                            csprng: Rc4Csprng) -> List[bytes]:
-    """Randomness assignment without the label-reset pass.
-
-    Safe whenever the follow-up labeling overwrites every bit and
-    interior label unconditionally — true of the serial hash pass, the
-    pool, the thread fallback, and the failure fallback — where
-    invalidation would be pure overhead.  Returns the drawn bitstrings
-    in plan order so the pool can scatter them into its label buffer
-    without re-reading the node attributes.
-    """
-    plan = tree.schedule().rand_plan
-    strings = csprng.bitstrings(len(plan))
-    for (node, is_dummy), string in zip(plan, strings):
-        if is_dummy:
-            node.label = string
-        else:
-            node.blinding = string
-    return strings
-
-
-def compute_label(node: MttNode) -> bytes:
-    """Compute (and cache) the Merkle label of a subtree.
+def label_slots(kinds: bytes, bits: bytes, offsets: Sequence[int],
+                children: Sequence[int], draws: Sequence[bytes],
+                lo: int, hi: int, first_leaf: int = 0) -> List[bytes]:
+    """Merkle labels of the slots ``[lo, hi)``, one whole subtree block
+    (or the whole tree), given the slot arrays of a
+    :class:`~repro.mtt.tree.FlatSchedule` and the draw.
 
     :spiderlint-contract: declassifier(merkle-label)
 
@@ -109,73 +92,69 @@ def compute_label(node: MttNode) -> bytes:
     blinding beneath it, so spiderlint treats this construction as a
     sanctioned declassifier for taint that flows into it.
 
-    Generic iterative post-order traversal, used for arbitrary subtrees
-    (model cross-checks and tests).  Whole-tree labeling goes through
-    :func:`label_tree`, which runs over the flattened schedule instead.
-    Interior nodes that already carry a label are skipped, so partial
-    relabeling only pays for the unlabeled upper nodes.
+    Leaves take consecutive draws from ``draws[first_leaf]`` on.  The
+    result's item ``i`` is the label of slot ``lo + i``.  H is SHA-512
+    truncated to :data:`DIGEST_SIZE`, identical to
+    :func:`repro.crypto.hashing.digest`, inlined so each node costs one
+    hash call; a run of bit slots and the prefix slot closing it are
+    hashed in one step.
     """
-    stack: List[Tuple[MttNode, bool]] = [(node, False)]
-    while stack:
-        current, expanded = stack.pop()
-        kind = type(current)
-        if kind is DummyNode:
-            if current.label is None:
-                raise RuntimeError("dummy node has no label; call "
-                                   "assign_randomness first")
-            continue
-        if kind is BitNode:
-            if current.blinding is None:
-                raise RuntimeError("bit node has no blinding; call "
-                                   "assign_randomness first")
-            current.label = bit_commitment(current.bit, current.blinding)
-            continue
-        if expanded:
-            if kind is PrefixNode:
-                children: List[MttNode] = list(current.bit_nodes)
-            else:
-                children = [c for c in current.children if c is not None]
-            current.label = digest_concat(
-                *[child.label for child in children])
-            continue
-        if current.label is not None:
-            continue  # subtree already labeled (partial relabel)
-        stack.append((current, True))
-        if kind is PrefixNode:
-            stack.extend((b, False) for b in current.bit_nodes)
-        else:
-            stack.extend((c, False) for c in current.children
-                         if c is not None)
-    return node.label
-
-
-def _hash_pass(tree: Mtt) -> bytes:
-    """Label every node of an already-blinded tree via the flat schedule.
-
-    Inlines H (SHA-512 truncated to :data:`DIGEST_SIZE`, identical to
-    :func:`repro.crypto.hashing.digest`) so each node costs one hash
-    call; the determinism tests pin this path to the generic
-    :func:`compute_label` traversal byte for byte.  This is also the
-    recovery path when a worker pool breaks mid-round: the tree's
-    randomness is already in place, so one serial pass always restores
-    a fully labeled tree.
-    """
-    schedule = tree.schedule()
     sha = hashlib.sha512
     size = DIGEST_SIZE
-    one, zero = b"\x01", b"\x00"
-    for node in schedule.bit_nodes:
-        node.label = sha((one if node.bit else zero)
-                         + node.blinding).digest()[:size]
     join = b"".join
-    for node, children in schedule.interiors:
-        node.label = sha(join([c.label for c in children])).digest()[:size]
-    return tree.root.label
+    tag = (b"\x00", b"\x01")
+    out: List[bytes] = []
+    append, extend = out.append, out.extend
+    find = kinds.find
+    leaf = first_leaf
+    s = lo
+    while s < hi:
+        kind = kinds[s]
+        if kind == SLOT_DUMMY:
+            append(draws[leaf])
+            leaf += 1
+            s += 1
+        elif kind == SLOT_INNER:
+            o = offsets[s]
+            append(sha(out[children[o] - lo] + out[children[o + 1] - lo]
+                       + out[children[o + 2] - lo]).digest()[:size])
+            s += 1
+        else:  # a run of bit slots, closed by their prefix slot
+            p = find(_PREFIX_BYTE, s, hi)
+            end = leaf + p - s
+            extend([sha(tag[b] + x).digest()[:size]
+                    for b, x in zip(bits[s:p], draws[leaf:end])])
+            append(sha(join(out[s - lo:p - lo])).digest()[:size])
+            leaf = end
+            s = p + 1
+    return out
+
+
+def label_upper(shape: FlatSchedule, labels: List[bytes],
+                slots: Sequence[int]) -> None:
+    """Hash the inner ``slots`` above a cut in place, children first."""
+    sha = hashlib.sha512
+    size = DIGEST_SIZE
+    offsets, children = shape.child_offsets, shape.child_slots
+    for s in slots:
+        o = offsets[s]
+        labels[s] = sha(labels[children[o]] + labels[children[o + 1]]
+                        + labels[children[o + 2]]).digest()[:size]
+
+
+def _label_serial(tree: Mtt, draws: List[bytes]) -> bytes:
+    """Label the whole tree from ``draws``; returns the root label."""
+    shape = tree.schedule()
+    labels = label_slots(shape.slot_kinds, shape.slot_bits,
+                         shape.child_offsets, shape.child_slots, draws,
+                         0, shape.n_slots)
+    tree.draws, tree.labels = draws, labels
+    return labels[-1]
 
 
 @dataclass(frozen=True)
 class LabelingReport:
-    """Result of a sequential labeling run."""
+    """Result of a sequential labeling run (``seconds``: draw + hash)."""
 
     root_label: bytes
     seconds: float
@@ -183,15 +162,12 @@ class LabelingReport:
 
 
 def label_tree(tree: Mtt, csprng: Rc4Csprng) -> LabelingReport:
-    """Assign randomness and label the whole tree, timing the hash work."""
-    schedule = tree.schedule()
-    _assign_randomness_fast(tree, csprng)
-    census = schedule.counts
+    """Draw the randomness and label the whole tree, timing both."""
     start = time.perf_counter()
-    root_label = _hash_pass(tree)
+    shape = tree.schedule()
+    root_label = _label_serial(tree, csprng.bitstrings(shape.n_leaves))
     seconds = time.perf_counter() - start
-    # One hash per bit node and per interior node (dummies are free).
-    hashes = census.bit + census.prefix + census.inner
+    hashes = _hash_count(shape.counts)
     _observe_labeling("serial", seconds, hashes, jobs=1, workers=1)
     return LabelingReport(root_label=root_label, seconds=seconds,
                           hash_count=hashes)
@@ -205,17 +181,15 @@ def label_tree(tree: Mtt, csprng: Rc4Csprng) -> LabelingReport:
 class ParallelLabelReport:
     """Result of a real multi-worker labeling run.
 
-    ``seconds`` is the steady-state hash phase only; one-time costs —
-    pool spawn when this call created its own pool, plus installing a
-    new tree shape into shared memory — are reported separately as
-    ``spinup_seconds`` so repeated rounds on a warm pool are comparable
-    to the serial path (conflating the two is exactly what made the
-    pre-warm-pool benchmark numbers misleading).
+    ``seconds`` is the randomness draw plus the hash phase (dispatch,
+    hashing, merge, copy-out); one-time costs — pool spawn when this
+    call created its own pool, plus installing a new tree shape into
+    shared memory — are reported separately as ``spinup_seconds``.
     """
 
     root_label: bytes
     workers: int
-    seconds: float  # steady-state hash phase (dispatch + hashing + merge)
+    seconds: float
     hash_count: int
     mode: str  # "process" | "thread" | "serial" | "serial-fallback"
     jobs: int
@@ -225,22 +199,17 @@ class ParallelLabelReport:
 def label_tree_parallel(tree: Mtt, csprng: Rc4Csprng, workers: int,
                         cut_depth: int = 4,
                         prefer_processes: bool = True,
-                        pool: Optional[LabelPool] = None,
-                        materialize: bool = True,
+                        pool: Optional["LabelPool"] = None,
                         ) -> ParallelLabelReport:
-    """Assign randomness serially, then label subtrees on ``c`` workers.
+    """Draw the randomness serially, then label subtrees on ``c`` workers.
 
     The tree is partitioned into independent subtrees ``cut_depth``
-    branch levels below the root; each worker labels whole subtrees in
-    shared memory and the (small) remainder above the cut is merged
-    in-process, exactly as the paper splits "the MTT into subtrees that
-    are each labeled completely by one of the threads" (§7.1).  Labels
-    land on the same node objects serial labeling would have written, so
-    proof generation is oblivious to how the tree was labeled.  Set
-    ``materialize=False`` when only the root is consumed (the recorder
-    discards the commitment tree right after taking the root): the
-    per-node copy-back is skipped, which removes most of the pool's
-    serial overhead.
+    branch levels below the root; each worker labels whole subtree slot
+    blocks in shared memory and the (small) remainder above the cut is
+    merged in-process, exactly as the paper splits "the MTT into
+    subtrees that are each labeled completely by one of the threads"
+    (§7.1).  The full label list lands on the tree, so proof generation
+    is oblivious to how the tree was labeled.
 
     Pass a warm :class:`~repro.mtt.pool.LabelPool` (the recorder owns
     one sized to ``SpiderConfig.commit_workers``) to amortize worker
@@ -248,56 +217,45 @@ def label_tree_parallel(tree: Mtt, csprng: Rc4Csprng, workers: int,
     torn down, and its spawn cost shows up in ``spinup_seconds``.
 
     If the pool breaks mid-round (worker OOM-killed, crashed, or
-    unresponsive) the round falls back to a serial relabel — the tree's
-    randomness was assigned up front and is never touched by workers,
-    so the fallback yields byte-identical labels (mode
+    unresponsive) the round falls back to a serial relabel from the
+    same draw, which yields byte-identical labels (mode
     ``"serial-fallback"``); the caller should discard the broken pool.
     """
+    from .pool import LabelPool, PoolBrokenError
+
     if workers < 1:
         raise ValueError("need at least one worker")
-    rand_values = _assign_randomness_fast(tree, csprng)
-    census = tree.schedule().counts
-    hashes = census.bit + census.prefix + census.inner
-
-    if workers == 1 and pool is None:
-        start = time.perf_counter()
-        root_label = _hash_pass(tree)
-        seconds = time.perf_counter() - start
-        _observe_labeling("serial", seconds, hashes, jobs=1, workers=1)
-        return ParallelLabelReport(
-            root_label=root_label, workers=1, seconds=seconds,
-            hash_count=hashes, mode="serial", jobs=1)
-
-    own_pool = pool is None
+    shape = tree.schedule()
+    hashes = _hash_count(shape.counts)
+    own_pool = pool is None and workers > 1
     if own_pool:
         pool = LabelPool(workers, prefer_processes=prefer_processes)
-    assert pool is not None
-    spinup_seconds = pool.spinup_seconds if own_pool else 0.0
+    spinup_seconds = pool.spinup_seconds if own_pool and pool else 0.0
+    start = time.perf_counter()
+    draws = csprng.bitstrings(shape.n_leaves)
+    mode, jobs, install_seconds = "serial", 1, 0.0
+    root_label: Optional[bytes] = None
     try:
-        start = time.perf_counter()
-        result = pool.label(tree, cut_depth, rand_values=rand_values,
-                            materialize=materialize)
-        elapsed = time.perf_counter() - start
-        spinup_seconds += result.install_seconds
-        seconds = max(0.0, elapsed - result.install_seconds)
-        mode = pool.mode
-        jobs = result.jobs
-        root_label = result.root_label
-    except PoolBrokenError:
-        # Recovery (worker death must never corrupt a commitment
-        # round): the randomness above is on the node objects, so one
-        # serial pass restores exactly the labels the pool would have
-        # produced.
-        get_registry().counter("mtt_pool_failures_total",
-                               mode="fallback").inc()
-        start = time.perf_counter()
-        root_label = _hash_pass(tree)
-        seconds = time.perf_counter() - start
-        mode = "serial-fallback"
-        jobs = 1
+        if pool is not None:
+            try:
+                result = pool.label(tree, cut_depth, draws)
+                root_label, mode, jobs = \
+                    result.root_label, pool.mode, result.jobs
+                install_seconds = result.install_seconds
+            except PoolBrokenError:
+                # Worker death must never corrupt a commitment round:
+                # one serial pass over the same draw restores exactly
+                # the labels the pool would have produced.
+                get_registry().counter("mtt_pool_failures_total",
+                                       mode="fallback").inc()
+                mode = "serial-fallback"
+        if root_label is None:
+            root_label = _label_serial(tree, draws)
+        seconds = time.perf_counter() - start - install_seconds
     finally:
-        if own_pool:
+        if own_pool and pool is not None:
             pool.close()
+    spinup_seconds += install_seconds
     _observe_labeling(mode, seconds, hashes, jobs=jobs, workers=workers)
     return ParallelLabelReport(
         root_label=root_label, workers=workers, seconds=seconds,
@@ -307,24 +265,19 @@ def label_tree_parallel(tree: Mtt, csprng: Rc4Csprng, workers: int,
 
 def label_tree_with_workers(
         tree: Mtt, csprng: Rc4Csprng, workers: int = 1,
-        cut_depth: int = 4, pool: Optional[LabelPool] = None,
-        materialize: bool = True,
+        cut_depth: int = 4, pool: Optional["LabelPool"] = None,
 ) -> "Union[LabelingReport, ParallelLabelReport]":
     """Labeling entry point for recorder and proof generator.
 
-    Serial fast path (flattened schedule) when ``workers <= 1`` and no
-    warm pool is supplied, the real worker pool otherwise.  Both return
-    objects exposing ``root_label``, ``seconds``, and ``hash_count``.
-    ``materialize=False`` (pool path only) skips copying per-node labels
-    back onto the tree — for the commitment round, where only the root
-    is consumed; reconstructions must keep the default, proofs read the
-    node labels.
+    Serial pass when ``workers <= 1`` and no warm pool is supplied, the
+    real worker pool otherwise.  Both return objects exposing
+    ``root_label``, ``seconds``, and ``hash_count``, and both leave the
+    full label list on the tree.
     """
     if workers <= 1 and pool is None:
         return label_tree(tree, csprng)
     return label_tree_parallel(tree, csprng, workers=workers,
-                               cut_depth=cut_depth, pool=pool,
-                               materialize=materialize)
+                               cut_depth=cut_depth, pool=pool)
 
 
 # ----------------------------------------------------------------------
@@ -355,29 +308,41 @@ class ParallelReport:
         return self.sequential_seconds / self.makespan_seconds
 
 
+#: Runs per subtree job in the makespan model (the best one counts).
+_MODEL_REPEATS = 3
+
+
 def parallel_labeling_report(tree: Mtt, csprng: Rc4Csprng, workers: int,
                              fanout_depth: int = 4) -> ParallelReport:
     """Label the tree and model the work as ``workers`` parallel jobs."""
     if workers < 1:
         raise ValueError("need at least one worker")
-    assign_randomness(tree, csprng)
-    jobs = subtree_jobs(tree, fanout_depth)
+    shape = tree.schedule()
+    arrays = (shape.slot_kinds, shape.slot_bits, shape.child_offsets,
+              shape.child_slots)
+    draws = csprng.bitstrings(shape.n_leaves)
+    jobs = subtree_jobs(shape, fanout_depth)
+    labels: List[bytes] = [b""] * shape.n_slots
 
     registry = get_registry()
     subtree_histogram = registry.histogram("mtt_subtree_seconds")
     job_times: List[float] = []
-    start_all = time.perf_counter()
-    for job in jobs:
-        start = time.perf_counter()
-        compute_label(job)
-        elapsed = time.perf_counter() - start
-        job_times.append(elapsed)
-        subtree_histogram.observe(elapsed)
-    # Remaining (upper) nodes: label whatever has no label yet.
+    for lo, hi, first_leaf in jobs:
+        # Best of a few runs: a job is a few milliseconds, so one
+        # scheduling blip would otherwise decide a whole bin.
+        best = float("inf")
+        for _ in range(_MODEL_REPEATS):
+            start = time.perf_counter()
+            block = label_slots(*arrays, draws, lo, hi, first_leaf)
+            best = min(best, time.perf_counter() - start)
+        labels[lo:hi] = block
+        job_times.append(best)
+        subtree_histogram.observe(best)
     merge_start = time.perf_counter()
-    root_label = compute_label(tree.root)
+    label_upper(shape, labels, upper_slots(jobs, shape.n_slots))
     merge_seconds = time.perf_counter() - merge_start
-    sequential = time.perf_counter() - start_all
+    sequential = sum(job_times) + merge_seconds
+    tree.draws, tree.labels = draws, labels
 
     # Greedy longest-first schedule onto `workers` bins.
     bins = [0.0] * workers
@@ -389,7 +354,64 @@ def parallel_labeling_report(tree: Mtt, csprng: Rc4Csprng, workers: int,
         # hash work under the greedy schedule (1.0 = perfectly packed).
         registry.gauge("mtt_pool_utilization").set(
             sequential / (workers * makespan))
-    return ParallelReport(root_label=root_label, workers=workers,
+    return ParallelReport(root_label=labels[-1], workers=workers,
                           sequential_seconds=sequential,
                           makespan_seconds=makespan,
                           subtree_seconds=tuple(job_times))
+
+
+# ----------------------------------------------------------------------
+# Reference implementation over the node view
+
+
+def assign_randomness(root: MttNode, csprng: Rc4Csprng) -> None:
+    """Give every dummy node its random label and every bit node its
+    blinding, one bitstring each in pre-order (edges 0, 1, E; bit nodes
+    in class order) — the draw order the slot arrays reproduce."""
+    stack: List[MttNode] = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, DummyNode):
+            node.label = csprng.bitstring()
+        elif isinstance(node, BitNode):
+            node.blinding = csprng.bitstring()
+        elif isinstance(node, PrefixNode):
+            stack.extend(reversed(node.bit_nodes))
+        else:
+            stack.extend(reversed([c for c in node.children
+                                   if c is not None]))
+
+
+def compute_label(node: MttNode) -> bytes:
+    """Compute (and cache) the Merkle label of a node-view subtree.
+
+    Generic iterative post-order traversal over node objects, the
+    reference the slot-array pass (:func:`label_slots`) is tested
+    against.  Interior nodes that already carry a label are skipped.
+    """
+    stack: List[Tuple[MttNode, bool]] = [(node, False)]
+    while stack:
+        current, expanded = stack.pop()
+        if isinstance(current, DummyNode):
+            if current.label is None:
+                raise RuntimeError("dummy node has no label; call "
+                                   "assign_randomness first")
+            continue
+        if isinstance(current, BitNode):
+            if current.blinding is None:
+                raise RuntimeError("bit node has no blinding; call "
+                                   "assign_randomness first")
+            current.label = bit_commitment(current.bit, current.blinding)
+            continue
+        if isinstance(current, PrefixNode):
+            children: List[MttNode] = list(current.bit_nodes)
+        else:
+            children = [c for c in current.children if c is not None]
+        if expanded:
+            current.label = digest_concat(
+                *[child.label for child in children])
+        elif current.label is None:
+            stack.append((current, True))
+            stack.extend((child, False) for child in children)
+    assert node.label is not None
+    return node.label

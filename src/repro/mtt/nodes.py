@@ -32,7 +32,8 @@ class BitNode:
 
     __slots__ = ("class_index", "bit", "blinding", "label")
 
-    def __init__(self, class_index: int, bit: int, blinding: bytes):
+    def __init__(self, class_index: int, bit: int,
+                 blinding: Optional[bytes] = None):
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
         self.class_index = class_index
@@ -50,7 +51,7 @@ class DummyNode:
 
     __slots__ = ("label",)
 
-    def __init__(self, label: bytes):
+    def __init__(self, label: Optional[bytes] = None):
         self.label = label
 
     def __repr__(self) -> str:
@@ -110,11 +111,12 @@ def validate_structure(node: MttNode, depth: int = 0) -> None:
     * the E child is a prefix node or a dummy node (never inner);
     * 0/1 children are inner, prefix, or dummy nodes;
     * bit nodes appear only under prefix nodes;
-    * the tree is no deeper than 32 branch levels.
+    * the tree is no deeper than 32 branch levels (inner nodes sit at
+      path depths 0–32; a /32 prefix node hangs below depth 32).
     """
-    if depth > 32:
-        raise ValueError("MTT deeper than 32 branch levels")
     if isinstance(node, InnerNode):
+        if depth > 32:
+            raise ValueError("MTT deeper than 32 branch levels")
         for edge in EDGES:
             child = node.children[edge]
             if child is None:

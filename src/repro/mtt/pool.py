@@ -1,36 +1,32 @@
 """Shared-memory warm worker pool for MTT labeling (Section 7.1).
 
 The paper labels each commitment's MTT on ``c`` commitment threads.  The
-first real pool here (PR 1) pickled a per-subtree op list through a
-fresh ``ProcessPoolExecutor`` every round, which made multiprocess
-labeling a *regression*: per-round pool spawn plus IPC serialization
-cost more than the hashing it parallelized (`BENCH_commit.json` at that
-commit: serial 0.46 s vs 0.97–1.23 s pooled).  This module replaces
-that design with two ideas:
+first real pool here pickled a per-subtree op list through a fresh
+``ProcessPoolExecutor`` every round, which made multiprocess labeling a
+*regression*: per-round pool spawn plus IPC serialization cost more
+than the hashing it parallelized (serial 0.46 s vs 0.97–1.23 s pooled).
+This module replaces that design with two ideas:
 
 * **Flat shared buffers, zero per-round pickling.**  Three
   ``multiprocessing.shared_memory`` blocks:
 
   - the *program* block, written once per tree shape — the
-    :class:`~repro.mtt.tree.FlatSchedule`'s slot arrays (op kinds,
-    committed bits, CSR child indices) plus each slot's index into the
-    randomness blob;
+    :class:`~repro.mtt.tree.FlatSchedule`'s slot arrays (kinds,
+    committed bits, CSR child indices);
   - the *label* block, one
     :data:`~repro.crypto.hashing.DIGEST_SIZE`-byte slot per node,
-    written in place by whoever executes the slot;
+    written by whichever worker labels the slot;
   - the *randomness* block, refreshed each round with ONE ``memcpy`` of
-    the CSPRNG draw in plan order — no per-slot scatter, because any
-    serial per-node Python loop in the parent would eat the workers'
-    speedup.
+    the CSPRNG draw.  The draw is in leaf order, and every subtree is
+    a contiguous slot block, so each job's randomness is one
+    contiguous slice of it.
 
-  Each side compiles the program once into per-kind op streams
-  (:class:`_FlatOps`) with every buffer slice precomputed, so the
-  per-round loops carry no branching or index arithmetic.  Workers
-  execute contiguous post-order slot ranges — dummy slots copy their
-  draw from the randomness block (a single C-level ``map`` sweep), bit
-  slots hash ``H(b || x)``, interior slots hash the concatenation of
-  their children's label slots.  The only per-round IPC is a control
-  message of a few ``(lo, hi)`` slot ranges per worker.
+  Workers run :func:`~repro.mtt.labeling.label_slots` — the serial
+  labeling pass — over contiguous ``(lo, hi)`` post-order slot blocks
+  and write each block's labels back with one slice assignment.  The
+  only per-round IPC is a control message of a few block tuples per
+  worker.  The parent then hashes the few inner slots above the cut
+  and copies the label block out into the tree's label list.
 
 * **A warm pool.**  :class:`LabelPool` spawns its workers once — owned
   by the recorder / proof generator for as long as the deployment lives
@@ -42,259 +38,83 @@ that design with two ideas:
 Failure model: a worker death (OOM kill, SIGKILL, crash) surfaces as
 :class:`PoolBrokenError` on the next dispatch or reply.  The pool marks
 itself broken and the caller (:func:`repro.mtt.labeling.
-label_tree_parallel`) falls back to a serial relabel of the
-already-blinded tree, so a commitment round never fails or produces a
-partially labeled tree; the recorder respawns a fresh pool on the next
-round.  Where subprocesses are unavailable entirely, the pool degrades
-to a warm thread pool executing the same flat program over a local
-buffer (no speedup under the GIL, but identical bytes and cheap
-dispatch).
+label_tree_parallel`) falls back to a serial relabel from the same
+draw, so a commitment round never fails or produces a partially
+labeled tree; the recorder respawns a fresh pool on the next round.
+Where subprocesses are unavailable entirely, the pool degrades to a
+warm thread pool running the same pass into the parent's label list
+(no speedup under the GIL, but identical bytes and cheap dispatch).
 
 Determinism: randomness is drawn serially by the caller in the fixed
 CSPRNG order before any hashing, and every label is a pure function of
 its subtree, so pool, thread, serial, and fallback labeling are
-byte-identical per node (property-tested in
+byte-identical per slot (property-tested in
 ``tests/mtt/test_label_pool.py``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from array import array
-from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 from multiprocessing.connection import Connection
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..crypto.hashing import DIGEST_SIZE
 from ..obs.registry import get_registry
-from .nodes import InnerNode, MttNode
-from .tree import FlatSchedule, Mtt, SLOT_BIT, SLOT_INTERIOR
+from .labeling import label_slots, label_upper
+from .tree import FlatSchedule, Mtt, subtree_jobs, upper_slots
 
 #: Magic + version prefixing the static program block, so a worker that
 #: attaches to a stale or foreign segment fails loudly.
 _PROG_MAGIC = b"SPDRPOOL"
-_PROG_VERSION = 2
+_PROG_VERSION = 3
 _HEADER = 16  # magic (8) + version (4) + n_slots (4)
+
+#: One job: slot block ``[lo, hi)`` and its leaves' draw indices
+#: ``[first_leaf, end_leaf)``.
+Job = Tuple[int, int, int, int]
 
 
 class PoolBrokenError(RuntimeError):
     """A pool worker died or stopped responding; the pool is unusable.
 
-    Callers must fall back to serial labeling (the tree's randomness is
-    already assigned, so a serial relabel is always possible) and
+    Callers must fall back to serial labeling (the round's draw is
+    already in hand, so a serial relabel is always possible) and
     discard the pool; the owning recorder spawns a fresh one lazily.
     """
 
 
-def subtree_jobs(tree: Mtt, cut_depth: int) -> List[MttNode]:
-    """Subtree roots ``cut_depth`` branch levels below the MTT root.
-
-    More depth yields more, smaller jobs and therefore a better balanced
-    schedule (the paper splits 'the MTT into subtrees that are each
-    labeled completely by one of the threads', §7.1).
-    """
-    jobs: List[MttNode] = []
-    frontier: List[Tuple[MttNode, int]] = [(tree.root, 0)]
-    while frontier:
-        node, depth = frontier.pop()
-        if depth >= cut_depth or not isinstance(node, InnerNode):
-            jobs.append(node)
-            continue
-        frontier.extend((c, depth + 1) for c in node.children
-                        if c is not None)
-    return jobs
-
-
-# ----------------------------------------------------------------------
-# The flat hash program executor (runs in workers, threads, and the
-# parent's upper-remainder merge — one code path, three call sites).
-
-
-def _bit_prefixes(slot_kinds: bytes, slot_bits: bytes) -> List[bytes]:
-    """Per-slot ``b"\\x00"``/``b"\\x01"`` hash prefixes for bit slots."""
-    one, zero = b"\x01", b"\x00"
-    return [one if (kind == SLOT_BIT and bit) else zero
-            for kind, bit in zip(slot_kinds, slot_bits)]
-
-
-class _FlatOps:
-    """Precompiled per-kind op streams over a set of slots.
-
-    Compiled once per installed shape: every label/randomness buffer
-    slice becomes a stored ``slice`` object, so the per-round loops do
-    no branching and no index arithmetic.  Order within a contiguous
-    post-order range only matters for interior slots (children first);
-    the streams keep ascending slot order, so running dummies, then
-    bits, then interiors is equivalent to slot order.
-    """
-
-    __slots__ = ("bit_slots", "bit_ls", "bit_pref", "bit_rs",
-                 "dum_slots", "dum_ls", "dum_rs",
-                 "int_slots", "int_ls", "int_ch")
-
-    bit_slots: List[int]
-    bit_ls: List[slice]
-    bit_pref: List[bytes]
-    bit_rs: List[slice]
-    dum_slots: List[int]
-    dum_ls: List[slice]
-    dum_rs: List[slice]
-    int_slots: List[int]
-    int_ls: List[slice]
-    int_ch: List[Tuple[slice, ...]]
-
-    def __init__(self, slots: Iterable[int], kinds: bytes,
-                 prefixes: Sequence[bytes], offsets: Sequence[int],
-                 children: Sequence[int],
-                 rand_index: Sequence[int]):
-        size = DIGEST_SIZE
-        self.bit_slots = []
-        self.bit_ls = []
-        self.bit_pref = []
-        self.bit_rs = []
-        self.dum_slots = []
-        self.dum_ls = []
-        self.dum_rs = []
-        self.int_slots = []
-        self.int_ls = []
-        self.int_ch = []
-        for s in slots:
-            kind = kinds[s]
-            p = s * size
-            ls = slice(p, p + size)
-            if kind == SLOT_BIT:
-                r = rand_index[s] * size
-                self.bit_slots.append(s)
-                self.bit_ls.append(ls)
-                self.bit_pref.append(prefixes[s])
-                self.bit_rs.append(slice(r, r + size))
-            elif kind == SLOT_INTERIOR:
-                self.int_slots.append(s)
-                self.int_ls.append(ls)
-                self.int_ch.append(tuple(
-                    slice(c * size, c * size + size)
-                    for c in children[offsets[s]:offsets[s + 1]]))
-            else:  # dummy
-                r = rand_index[s] * size
-                self.dum_slots.append(s)
-                self.dum_ls.append(ls)
-                self.dum_rs.append(slice(r, r + size))
-
-    def execute_all(self, rand: bytes, labels: memoryview) -> None:
-        _run_streams(self.dum_ls, self.dum_rs,
-                     self.bit_ls, self.bit_pref, self.bit_rs,
-                     self.int_ls, self.int_ch, rand, labels)
-
-    def execute_range(self, lo: int, hi: int, rand: bytes,
-                      labels: memoryview) -> None:
-        """Execute the ops whose slot lies in ``[lo, hi)``."""
-        b0 = bisect_left(self.bit_slots, lo)
-        b1 = bisect_left(self.bit_slots, hi)
-        d0 = bisect_left(self.dum_slots, lo)
-        d1 = bisect_left(self.dum_slots, hi)
-        i0 = bisect_left(self.int_slots, lo)
-        i1 = bisect_left(self.int_slots, hi)
-        _run_streams(self.dum_ls[d0:d1], self.dum_rs[d0:d1],
-                     self.bit_ls[b0:b1], self.bit_pref[b0:b1],
-                     self.bit_rs[b0:b1],
-                     self.int_ls[i0:i1], self.int_ch[i0:i1],
-                     rand, labels)
-
-
-def _run_streams(dum_ls: Sequence[slice], dum_rs: Sequence[slice],
-                 bit_ls: Sequence[slice], bit_pref: Sequence[bytes],
-                 bit_rs: Sequence[slice],
-                 int_ls: Sequence[slice],
-                 int_ch: Sequence[Tuple[slice, ...]],
-                 rand: bytes, labels: memoryview) -> None:
-    sha = hashlib.sha512
-    join = b"".join
-    size = DIGEST_SIZE
-    # Dummies: one C-level gather/scatter sweep, no interpreter loop.
-    deque(map(labels.__setitem__, dum_ls,
-              map(rand.__getitem__, dum_rs)), maxlen=0)
-    for ls, pref, rs in zip(bit_ls, bit_pref, bit_rs):
-        labels[ls] = sha(pref + rand[rs]).digest()[:size]
-    for ls, chs in zip(int_ls, int_ch):
-        labels[ls] = sha(join([labels[c] for c in chs])).digest()[:size]
-
-
 @dataclass(frozen=True)
 class _Program:
-    """One installed tree shape: slot ranges over the shared buffers."""
+    """One installed tree shape, cut into slot-block jobs."""
 
     schedule: FlatSchedule  # strong ref: identity key for the cache
     cut_depth: int
-    n_slots: int
-    n_rand: int  # randomness draws per round (plan length)
-    #: Contiguous ``[lo, hi)`` slot ranges, one per cut subtree.
-    job_ranges: Tuple[Tuple[int, int], ...]
-    #: Slots above the cut, ascending (a valid post-order suffix).
-    upper_slots: Tuple[int, ...]
-    #: Hash ops (bit + interior slots) per job range, for balancing.
-    job_costs: Tuple[int, ...]
-    #: Per-slot index into the randomness blob (meaningful for dummy
-    #: and bit slots; 0 elsewhere).
-    rand_index: "array[int]"
-    #: Compiled ops for the upper remainder (parent-side merge).
-    upper_ops: _FlatOps
-    #: Compiled ops for every slot; built only in thread mode, where
-    #: the parent process executes the job ranges itself.
-    full_ops: Optional[_FlatOps]
-    #: Non-dummy nodes in slot order and their label-buffer slices
-    #: (dummies keep the label ``assign_randomness`` put on them, so
-    #: copy-back skips them).
-    out_nodes: Tuple[MttNode, ...]
-    out_slices: Tuple[slice, ...]
+    jobs: Tuple[Job, ...]
+    #: Hash ops (bit + interior slots) per job, for balancing.
+    costs: Tuple[int, ...]
+    #: Inner slots above the cut, ascending (parent-side merge).
+    upper: Tuple[int, ...]
 
 
-def _build_program(tree: Mtt, cut_depth: int,
-                   with_full_ops: bool) -> _Program:
-    schedule = tree.schedule()
+def _build_program(schedule: FlatSchedule, cut_depth: int) -> _Program:
     kinds = schedule.slot_kinds
-    sizes = schedule.subtree_sizes
-    size = DIGEST_SIZE
-    n_slots = schedule.n_slots
-    covered = bytearray(n_slots)
-    ranges: List[Tuple[int, int]] = []
-    costs: List[int] = []
-    for job in subtree_jobs(tree, cut_depth):
-        hi = schedule.slot_of(job) + 1
-        lo = hi - sizes[hi - 1]
-        # Pure-dummy jobs still dispatch: their slots must be
-        # materialized from the randomness blob by *someone*, and a
-        # worker copying them is free compared to the parent doing it.
-        ranges.append((lo, hi))
-        costs.append(sum(1 for s in range(lo, hi) if kinds[s] != 0))
-        for s in range(lo, hi):
-            covered[s] = 1
-    upper = tuple(s for s in range(n_slots) if not covered[s])
-    rand_index = array("I", bytes(4 * max(1, n_slots)))
-    for i, s in enumerate(schedule.rand_slots):
-        rand_index[s] = i
-    prefixes = _bit_prefixes(kinds, schedule.slot_bits)
-    offsets = schedule.child_offsets
-    children = schedule.child_slots
-    upper_ops = _FlatOps(upper, kinds, prefixes, offsets, children,
-                         rand_index)
-    full_ops = _FlatOps(range(n_slots), kinds, prefixes, offsets,
-                        children, rand_index) if with_full_ops else None
-    out = [(node, slice(s * size, s * size + size))
-           for s, node in enumerate(schedule.slot_nodes)
-           if kinds[s] != 0]
-    return _Program(schedule=schedule, cut_depth=cut_depth,
-                    n_slots=n_slots, n_rand=len(schedule.rand_slots),
-                    job_ranges=tuple(ranges),
-                    upper_slots=upper, job_costs=tuple(costs),
-                    rand_index=rand_index, upper_ops=upper_ops,
-                    full_ops=full_ops,
-                    out_nodes=tuple(node for node, _ in out),
-                    out_slices=tuple(sl for _, sl in out))
+    cut = subtree_jobs(schedule, cut_depth)
+    # All leaves lie inside some job (only inner slots sit above the
+    # cut), so each job's draws end where the next job's begin.
+    ends = [first for _, _, first in cut[1:]] + [schedule.n_leaves]
+    jobs = tuple((lo, hi, first, end)
+                 for (lo, hi, first), end in zip(cut, ends))
+    # Pure-dummy jobs still dispatch: their slots must be copied from
+    # the randomness block by *someone*, and a worker doing it is free
+    # compared to the parent doing it.
+    costs = tuple(hi - lo - kinds.count(0, lo, hi)
+                  for lo, hi, _, _ in jobs)
+    return _Program(schedule=schedule, cut_depth=cut_depth, jobs=jobs,
+                    costs=costs,
+                    upper=tuple(upper_slots(cut, schedule.n_slots)))
 
 
 # ----------------------------------------------------------------------
@@ -304,8 +124,7 @@ def _build_program(tree: Mtt, cut_depth: int,
 class _WorkerState:
     """A worker's parsed view of the installed shared-memory program."""
 
-    __slots__ = ("prog_shm", "label_shm", "rand_shm", "ops",
-                 "rand_bytes", "labels")
+    __slots__ = ("prog_shm", "label_shm", "rand_shm", "arrays", "labels")
 
     def __init__(self, prog_name: str, label_name: str,
                  rand_name: str):
@@ -329,28 +148,19 @@ class _WorkerState:
         offsets = array("I")
         offsets.frombytes(bytes(buf[pos:pos + 4 * (n_slots + 1)]))
         pos += 4 * (n_slots + 1)
-        n_children = offsets[n_slots] if n_slots else 0
         children = array("I")
-        children.frombytes(bytes(buf[pos:pos + 4 * n_children]))
-        pos += 4 * n_children
-        rand_index = array("I")
-        rand_index.frombytes(bytes(buf[pos:pos + 4 * n_slots]))
-        # Compiled once per installed shape; every subsequent round is
-        # a pure loop over precomputed slices plus the shared buffers.
-        self.ops = _FlatOps(range(n_slots), kinds,
-                            _bit_prefixes(kinds, bits),
-                            offsets.tolist(), children.tolist(),
-                            rand_index)
-        self.rand_bytes = (len(self.ops.bit_slots) +
-                           len(self.ops.dum_slots)) * DIGEST_SIZE
+        children.frombytes(bytes(buf[pos:pos + 4 * offsets[n_slots]]))
+        self.arrays = (kinds, bits, offsets, children)
         self.labels = self.label_shm.buf
 
-    def execute(self, ranges: Sequence[Tuple[int, int]]) -> None:
-        # Snapshot the round's randomness once (bit hashing one-shots
-        # ``sha(prefix + rand[rs])``, which needs a bytes operand).
-        rand = bytes(self.rand_shm.buf[:self.rand_bytes])
-        for lo, hi in ranges:
-            self.ops.execute_range(lo, hi, rand, self.labels)
+    def execute(self, jobs: Sequence[Job]) -> None:
+        size = DIGEST_SIZE
+        rand = self.rand_shm.buf
+        for lo, hi, first, end in jobs:
+            blob = bytes(rand[first * size:end * size])
+            draws = [blob[i:i + size] for i in range(0, len(blob), size)]
+            self.labels[lo * size:hi * size] = b"".join(
+                label_slots(*self.arrays, draws, lo, hi))
 
     def close(self) -> None:
         self.labels = memoryview(b"")
@@ -455,7 +265,6 @@ class LabelPool:
         self._prog_shm: Optional[Any] = None
         self._label_shm: Optional[Any] = None
         self._rand_shm: Optional[Any] = None
-        self._label_buf: Optional[bytearray] = None  # thread mode
         self._closed = False
         self._obs = get_registry()
         start = time.perf_counter()
@@ -552,60 +361,45 @@ class LabelPool:
 
     # -- program install -----------------------------------------------
 
-    def _ensure_program(self, tree: Mtt, cut_depth: int) -> float:
-        """Install the tree's flat hash program; returns install time.
+    def _ensure_program(self, schedule: FlatSchedule,
+                        cut_depth: int) -> float:
+        """Install the shape's slot arrays; returns install time.
 
         Keyed by schedule identity + cut depth: labeling the same tree
         again (benchmark rounds, proof-generator reconstructions against
         a cached tree) skips straight to dispatch.
         """
-        schedule = tree.schedule()
         program = self._program
         if program is not None and program.schedule is schedule and \
                 program.cut_depth == cut_depth:
             return 0.0
         start = time.perf_counter()
-        program = _build_program(tree, cut_depth,
-                                 with_full_ops=self.mode != "process")
-        label_bytes = max(1, program.n_slots * DIGEST_SIZE)
-        rand_bytes = max(1, program.n_rand * DIGEST_SIZE)
+        program = _build_program(schedule, cut_depth)
         if self.mode == "process":
             from multiprocessing import shared_memory
             self._release_shm()
-            prog_blob = self._encode_program(schedule,
-                                             program.rand_index)
-            prog_shm = shared_memory.SharedMemory(
-                create=True, size=max(1, len(prog_blob)))
+            prog_blob = b"".join([
+                _PROG_MAGIC, _PROG_VERSION.to_bytes(4, "little"),
+                schedule.n_slots.to_bytes(4, "little"),
+                schedule.slot_kinds, schedule.slot_bits,
+                schedule.child_offsets.tobytes(),
+                schedule.child_slots.tobytes()])
+            prog_shm = shared_memory.SharedMemory(create=True,
+                                                  size=len(prog_blob))
             prog_shm.buf[:len(prog_blob)] = prog_blob
-            label_shm = shared_memory.SharedMemory(create=True,
-                                                   size=label_bytes)
-            rand_shm = shared_memory.SharedMemory(create=True,
-                                                  size=rand_bytes)
+            label_shm = shared_memory.SharedMemory(
+                create=True, size=schedule.n_slots * DIGEST_SIZE)
+            rand_shm = shared_memory.SharedMemory(
+                create=True, size=schedule.n_leaves * DIGEST_SIZE)
             self._prog_shm = prog_shm
             self._label_shm = label_shm
             self._rand_shm = rand_shm
             self._roundtrip([("install", prog_shm.name, label_shm.name,
                               rand_shm.name)] * len(self._conns))
-        else:
-            self._label_buf = bytearray(label_bytes)
         self._program = program
         seconds = time.perf_counter() - start
         self._obs.counter("mtt_pool_installs_total").inc()
         return seconds
-
-    @staticmethod
-    def _encode_program(schedule: FlatSchedule,
-                        rand_index: "array[int]") -> bytes:
-        n_slots = schedule.n_slots
-        parts = [_PROG_MAGIC,
-                 _PROG_VERSION.to_bytes(4, "little"),
-                 n_slots.to_bytes(4, "little"),
-                 schedule.slot_kinds,
-                 schedule.slot_bits,
-                 schedule.child_offsets.tobytes(),
-                 schedule.child_slots.tobytes(),
-                 rand_index.tobytes()]
-        return b"".join(parts)
 
     # -- dispatch ------------------------------------------------------
 
@@ -631,116 +425,71 @@ class LabelPool:
             if reply[0] != "ok":
                 raise self._mark_broken(f"pool worker error: {reply[1]}")
 
-    def _assignments(self, program: _Program
-                     ) -> List[List[Tuple[int, int]]]:
-        """Greedy longest-first packing of job ranges onto workers."""
-        bins: List[List[Tuple[int, int]]] = [[] for _ in
-                                             range(self.workers)]
+    def _assignments(self, program: _Program) -> List[List[Job]]:
+        """Greedy longest-first packing of jobs onto workers."""
+        bins: List[List[Job]] = [[] for _ in range(self.workers)]
         loads = [0] * self.workers
-        order = sorted(range(len(program.job_ranges)),
-                       key=lambda i: program.job_costs[i], reverse=True)
+        order = sorted(range(len(program.jobs)),
+                       key=lambda i: program.costs[i], reverse=True)
         for i in order:
             target = loads.index(min(loads))
-            bins[target].append(program.job_ranges[i])
-            loads[target] += program.job_costs[i]
+            bins[target].append(program.jobs[i])
+            loads[target] += program.costs[i]
         busiest = max(loads) if loads else 0
         if busiest:
             self._obs.gauge("mtt_pool_occupancy").set(
                 sum(loads) / (self.workers * busiest))
-        return bins
+        return [jobs for jobs in bins if jobs]
 
     # -- the per-round entry point -------------------------------------
 
     def label(self, tree: Mtt, cut_depth: int,
-              rand_values: Optional[Sequence[bytes]] = None,
-              materialize: bool = True) -> RoundResult:
-        """Hash one already-blinded tree on the warm pool.
+              draws: List[bytes]) -> RoundResult:
+        """Label ``tree`` from the round's ``draws`` on the warm pool.
 
-        The caller must have assigned randomness (serially, in CSPRNG
-        order) to the tree's nodes first; passing the drawn bitstrings
-        as ``rand_values`` (``rand_plan`` order) avoids re-reading them
-        off the node objects.  On return every node carries its label,
-        exactly as serial labeling would have left it — unless
-        ``materialize`` is False, which skips the copy-back and yields
-        only the root (the commitment fast path: the recorder discards
-        the tree right after taking the root, so per-node labels would
-        be written once and never read).
-        Raises :class:`PoolBrokenError` if a worker died; the tree's
-        randomness is untouched, so a serial relabel remains valid.
+        ``draws`` is the serial CSPRNG draw, one bitstring per leaf in
+        leaf order.  On return ``tree.labels`` holds every slot's label,
+        exactly as serial labeling would have left it.  Raises
+        :class:`PoolBrokenError` if a worker died; the draw is
+        untouched, so a serial relabel remains valid.
         """
         if self._closed:
             raise PoolBrokenError("pool is closed")
         if self.broken:
             raise PoolBrokenError("pool is broken")
-        install_seconds = self._ensure_program(tree, cut_depth)
+        schedule = tree.schedule()
+        install_seconds = self._ensure_program(schedule, cut_depth)
         program = self._program
         assert program is not None
-        schedule = program.schedule
-        if rand_values is None:
-            rand_values = [node.label if is_dummy else node.blinding
-                           for node, is_dummy in schedule.rand_plan]
-        # The round's entire randomness traffic: one join + one memcpy.
-        rand_blob = b"".join(rand_values)
-        labels = self._labels_view()
-        assignments = self._assignments(program)
-        dispatches = 0
+        bins = self._assignments(program)
+        size = DIGEST_SIZE
+        n_slots = schedule.n_slots
         if self.mode == "process":
-            assert self._rand_shm is not None
+            assert self._rand_shm is not None and \
+                self._label_shm is not None
+            # The round's entire randomness traffic: one join + memcpy.
+            rand_blob = b"".join(draws)
             self._rand_shm.buf[:len(rand_blob)] = rand_blob
-            engaged = [("run", ranges) for ranges in assignments
-                       if ranges]
-            dispatches = len(engaged)
-            self._roundtrip(engaged)
+            self._roundtrip([("run", jobs) for jobs in bins])
+            blob = bytes(self._label_shm.buf[:n_slots * size])
+            labels = [blob[i:i + size] for i in range(0, len(blob), size)]
         else:
             assert self._executor is not None
-            full_ops = program.full_ops
-            assert full_ops is not None
-            work = [ranges for ranges in assignments if ranges]
-            dispatches = len(work)
+            arrays = (schedule.slot_kinds, schedule.slot_bits,
+                      schedule.child_offsets, schedule.child_slots)
+            labels = [b""] * n_slots
 
-            def run_bin(ranges: List[Tuple[int, int]]) -> None:
-                for lo, hi in ranges:
-                    full_ops.execute_range(lo, hi, rand_blob, labels)
+            def run_bin(jobs: List[Job]) -> None:
+                for lo, hi, first, _ in jobs:
+                    labels[lo:hi] = label_slots(*arrays, draws, lo, hi,
+                                                first)
 
-            list(self._executor.map(run_bin, work))
-        # Merge: the (small) remainder above the cut, executed
-        # in-process — including any dummies no job range covered.
-        program.upper_ops.execute_all(rand_blob, labels)
-        if materialize:
-            root_label = self._copy_out(program, labels)
-        else:
-            size = DIGEST_SIZE
-            root_label = bytes(
-                labels[(program.n_slots - 1) * size:
-                       program.n_slots * size])
+            list(self._executor.map(run_bin, bins))
+        # Merge: the inner slots above the cut, in-process.
+        label_upper(schedule, labels, program.upper)
+        tree.draws, tree.labels = draws, labels
         self._obs.counter("mtt_pool_dispatches_total",
-                          mode=self.mode).inc(max(dispatches, 1))
-        return RoundResult(root_label=root_label,
-                           jobs=len(program.job_ranges),
-                           dispatches=dispatches,
+                          mode=self.mode).inc(max(len(bins), 1))
+        return RoundResult(root_label=labels[-1], jobs=len(program.jobs),
+                           dispatches=len(bins),
                            install_seconds=install_seconds)
-
-    def _labels_view(self) -> memoryview:
-        if self.mode == "process":
-            assert self._label_shm is not None
-            return memoryview(self._label_shm.buf)
-        assert self._label_buf is not None
-        return memoryview(self._label_buf)
-
-    @staticmethod
-    def _copy_out(program: _Program, labels: memoryview) -> bytes:
-        """Materialize hashed slots back onto their nodes; returns root.
-
-        One bulk copy of the shared buffer, then a C-level slice gather
-        and ``setattr`` sweep over the non-dummy nodes (dummies already
-        carry their round label).  This pass is serial in every mode
-        and bounds the pool's speedup — hence no per-node interpreted
-        loop, and the commitment path skips it entirely via
-        ``materialize=False``.
-        """
-        size = DIGEST_SIZE
-        blob = bytes(labels[:program.n_slots * size])
-        out_labels = map(blob.__getitem__, program.out_slices)
-        deque(map(setattr, program.out_nodes, repeat("label"),
-                  out_labels), maxlen=0)
-        return blob[len(blob) - size:]

@@ -105,37 +105,40 @@ def generate_proof(tree: Mtt, prefix: Prefix,
                    class_index: int) -> MttBitProof:
     """Build the bit proof for (``prefix``, ``class_index``).
 
-    The tree must already be labeled (see :mod:`repro.mtt.labeling`).
+    The tree must already be labeled (see :mod:`repro.mtt.labeling`):
+    the proof reads sibling labels by slot from ``tree.labels`` along
+    the CSR path from the root down to the prefix slot.
     """
-    prefix_node = tree.prefix_node(prefix)
-    if prefix_node is None:
+    shape = tree.schedule()
+    entry = shape.prefix_slots.get(prefix)
+    if entry is None:
         raise ProofError(f"prefix {prefix} not present in the MTT")
-    if not 0 <= class_index < len(prefix_node.bit_nodes):
+    slot, first_leaf = entry
+    offsets, children = shape.child_offsets, shape.child_slots
+    k = offsets[slot + 1] - offsets[slot]
+    if not 0 <= class_index < k:
         raise ProofError(f"class {class_index} out of range for {prefix}")
-    inner_path = tree.path_to(prefix)
-    if inner_path is None:
-        raise ProofError(f"no path to {prefix}")
-
-    bit_node = prefix_node.bit_nodes[class_index]
-    if bit_node.blinding is None or prefix_node.label is None:
+    labels, draws = tree.labels, tree.draws
+    if labels is None or draws is None:
         raise ProofError("tree is not labeled")
 
     steps: List[PathStep] = [PathStep(
-        child_labels=tuple(b.label for b in prefix_node.bit_nodes),
-        child_index=class_index,
-    )]
-    # Walk back up: the deepest inner node reaches the prefix node via E;
-    # every other inner node reaches the next via the prefix's path bit.
-    bits = prefix.bits()
-    for depth in range(len(inner_path) - 1, -1, -1):
-        node = inner_path[depth]
-        edge = EDGE_END if depth == len(inner_path) - 1 else bits[depth]
+        child_labels=tuple(labels[slot - k:slot]),
+        child_index=class_index)]
+    # Back up the path: the deepest inner slot reaches the prefix slot
+    # via E, every other inner slot the next one via the path bit.
+    inner_path = tree.path_to(prefix)
+    assert inner_path is not None
+    edges = (*prefix.iter_bits(), EDGE_END)
+    for node, edge in zip(reversed(inner_path), reversed(edges)):
+        o = offsets[node]
         steps.append(PathStep(
-            child_labels=tuple(c.label for c in node.children),
-            child_index=edge,
-        ))
+            child_labels=(labels[children[o]], labels[children[o + 1]],
+                          labels[children[o + 2]]),
+            child_index=edge))
     return MttBitProof(prefix=prefix, class_index=class_index,
-                       bit=bit_node.bit, blinding=bit_node.blinding,
+                       bit=shape.slot_bits[slot - k + class_index],
+                       blinding=draws[first_leaf + class_index],
                        steps=tuple(steps))
 
 

@@ -7,176 +7,193 @@ p ∈ P — including the path of p itself, whose E child is p's prefix node —
 with every unused child slot filled by a dummy node, one prefix node per
 p ∈ P, and one bit node per class of ε(p).
 
-The node counts of this construction reproduce the paper's §7.3 census
-identity exactly: 3·inner = (inner − 1) + prefix + dummy (every child
-slot of every inner node is an inner node, a prefix node, or a dummy).
+The tree is held as flat post-order slot arrays (:class:`FlatSchedule`),
+built in one trie walk straight from the sorted prefixes; node objects
+exist only as an on-demand view (:meth:`Mtt.nodes`).  The node counts
+reproduce the paper's §7.3 census identity exactly: 3·inner = (inner − 1)
++ prefix + dummy (every child slot of every inner node is an inner node,
+a prefix node, or a dummy).
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..bgp.prefix import Prefix
-from .nodes import BitNode, DummyNode, EDGE_END, EDGES, InnerNode, \
-    MttNode, PrefixNode, validate_structure
+from .nodes import BitNode, DummyNode, InnerNode, MttNode, PrefixNode, \
+    validate_structure
 
-#: Slot kinds of the flattened labeling program (one byte per node in
-#: :class:`FlatSchedule`).  Dummy slots carry pre-drawn random labels,
-#: bit slots hash ``H(b || x)`` in place over their blinding, interior
-#: slots hash the concatenation of their children's label slots.
-SLOT_DUMMY, SLOT_BIT, SLOT_INTERIOR = 0, 1, 2
+#: Slot kinds (one byte per slot in :attr:`FlatSchedule.slot_kinds`).
+#: Dummy slots take a random label, bit slots hash ``H(b || x)`` over
+#: their blinding, inner and prefix slots hash the concatenation of
+#: their children's labels.
+SLOT_DUMMY, SLOT_BIT, SLOT_INNER, SLOT_PREFIX = 0, 1, 2, 3
 
 
 class FlatSchedule:
-    """Flattened traversal orders for one MTT shape (the §5.3 hot path).
+    """One MTT shape as post-order slot arrays (the §5.3 hot path).
 
-    Between commitment rounds only the randomness changes — the tree
-    *shape* is fixed once built — so the DFS orders that labeling needs
-    are computed once and reused.  With the schedule in hand,
-    randomness assignment and Merkle labeling become tight loops over
-    preflattened arrays with no isinstance dispatch and no repeated
-    traversal (see :mod:`repro.mtt.labeling`).
+    Every node gets a slot id in post-order, children in edge order
+    (0, 1, E) and bit nodes in class order, so the root is the last
+    slot and each subtree occupies one contiguous slot block.  The
+    leaves (dummy and bit slots) therefore come out in exactly the
+    pre-order in which the CSPRNG stream is consumed: leaf ``i`` in
+    slot order takes the ``i``-th bitstring of the commitment's draw.
+    That order must never change — proof generators rebuild past
+    blindings from the stored seed by replaying it (Section 6.5).
 
-    * ``rand_plan`` — ``(node, is_dummy)`` pairs for every dummy and bit
-      node, in exactly the depth-first order the original recursive
-      assignment visited them.  The CSPRNG stream is consumed in this
-      order, so it must never change: proof generators rebuild past
-      blindings from the stored seed by replaying it (Section 6.5).
-    * ``reset_nodes`` — every node whose label must be invalidated when
-      fresh randomness is assigned (interior and bit nodes).
-    * ``bit_nodes`` / ``bit_values`` — all bit nodes with their committed
-      bits, in post-order.
-    * ``interiors`` — ``(node, children)`` pairs for every prefix and
-      inner node in post-order: children always precede parents, so one
-      forward pass computes every Merkle label.
-
-    Beyond the node-object views, the schedule also carries a fully
-    *flat* slot representation of the same post-order: every node
-    (dummies included) is assigned a slot id in completion order, and
-    the whole hash program becomes four contiguous arrays —
-    ``slot_kinds`` (one :data:`SLOT_DUMMY`/:data:`SLOT_BIT`/
-    :data:`SLOT_INTERIOR` byte per slot), ``slot_bits`` (the committed
-    bit for bit slots), and ``child_offsets``/``child_slots`` (CSR-style
-    child indices for interior slots).  Because a node's entire subtree
-    completes before the node itself, each subtree occupies one
-    contiguous slot block (``subtree_sizes`` gives the block length),
-    which is what lets the shared-memory label pool hand a worker a
-    ``(lo, hi)`` slot range instead of a pickled subtree — see
-    :mod:`repro.mtt.pool`.  ``rand_slots`` maps each ``rand_plan`` entry
-    to its slot so randomness can be written straight into a flat label
-    buffer; ``slot_nodes`` maps slots back to nodes for the copy-out.
+    * ``slot_kinds`` — one :data:`SLOT_DUMMY`/:data:`SLOT_BIT`/
+      :data:`SLOT_INNER`/:data:`SLOT_PREFIX` byte per slot;
+    * ``slot_bits`` — the committed bit of each bit slot (0 elsewhere);
+    * ``child_offsets``/``child_slots`` — CSR children: slot ``s`` has
+      children ``child_slots[child_offsets[s]:child_offsets[s + 1]]``
+      (three for an inner slot, the ``k`` bit slots right before it for
+      a prefix slot);
+    * ``subtree_sizes`` — slots in each subtree, so the subtree rooted
+      at ``s`` is the block ``[s + 1 - subtree_sizes[s], s + 1)``;
+    * ``prefix_slots`` — prefix → (its prefix slot, the leaf index of
+      its first bit slot), for proofs;
+    * ``counts`` — the node census.
     """
 
-    __slots__ = ("rand_plan", "reset_nodes", "bit_nodes", "bit_values",
-                 "interiors", "counts", "slot_nodes", "slot_kinds",
-                 "slot_bits", "child_offsets", "child_slots",
-                 "subtree_sizes", "rand_slots", "_slot_index")
+    __slots__ = ("n_slots", "n_leaves", "slot_kinds", "slot_bits",
+                 "child_offsets", "child_slots", "subtree_sizes",
+                 "prefix_slots", "counts")
 
-    def __init__(self, root: MttNode):
-        # Pass 1 — preorder DFS, identical to the original recursive
-        # randomness assignment (0, 1, E child order; bit nodes in class
-        # order).  This fixes the CSPRNG draw order.
-        rand_plan: List[Tuple[MttNode, bool]] = []
-        stack: List[MttNode] = [root]
-        inner = prefix = 0
-        while stack:
-            node = stack.pop()
-            kind = type(node)
-            if kind is DummyNode:
-                rand_plan.append((node, True))
-            elif kind is BitNode:
-                rand_plan.append((node, False))
-            elif kind is PrefixNode:
-                prefix += 1
-                stack.extend(reversed(node.bit_nodes))
+    def __init__(self, entries: Mapping[Prefix, Sequence[int]]):
+        # Post-order sorts every extension of p before p itself: order
+        # by the last address p covers, longer prefixes first on ties.
+        order = sorted(((p.address | ((1 << (32 - p.length)) - 1),
+                         -p.length, p) for p in entries))
+        last = [key[0] for key in order]
+        kinds = bytearray()
+        bits = bytearray()
+        offsets = array("I", (0,))
+        children = array("I")
+        sizes = array("I")
+        prefix_slots: Dict[Prefix, Tuple[int, int]] = {}
+        leaves = inner = 0
+
+        def dummy() -> int:
+            nonlocal leaves
+            leaves += 1
+            kinds.append(SLOT_DUMMY)
+            bits.append(0)
+            offsets.append(len(children))
+            sizes.append(1)
+            return len(kinds) - 1
+
+        def prefix_node(prefix: Prefix) -> int:
+            nonlocal leaves
+            values = bytes(entries[prefix])
+            k = len(values)
+            if not k:
+                raise ValueError(f"no bits supplied for {prefix}")
+            if values.strip(b"\x00\x01"):
+                raise ValueError(f"bits for {prefix} must be 0 or 1")
+            first = len(kinds)
+            prefix_slots[prefix] = (first + k, leaves)
+            leaves += k
+            kinds.extend(repeat(SLOT_BIT, k))
+            kinds.append(SLOT_PREFIX)
+            bits.extend(values)
+            bits.append(0)
+            offsets.extend(repeat(len(children), k))
+            children.extend(range(first, first + k))
+            offsets.append(len(children))
+            sizes.extend(repeat(1, k))
+            sizes.append(k + 1)
+            return first + k
+
+        def walk(depth: int, base: int, lo: int, hi: int) -> int:
+            # Prefixes order[lo:hi] all share the path ``base`` of
+            # ``depth`` bits; the one equal to it, if any, sorts last.
+            nonlocal inner
+            if lo == hi:
+                return dummy()
+            inner += 1
+            exact = -order[hi - 1][1] == depth
+            end = hi - 1 if exact else hi
+            if depth < 32:
+                one = base | (1 << (31 - depth))
+                mid = bisect_left(last, one, lo, end)
+                zero_slot = walk(depth + 1, base, lo, mid)
+                one_slot = walk(depth + 1, one, mid, end)
             else:
-                inner += 1
-                stack.extend(reversed([c for c in node.children
-                                       if c is not None]))
-        self.rand_plan = tuple(rand_plan)
+                zero_slot, one_slot = dummy(), dummy()
+            end_slot = prefix_node(order[hi - 1][2]) if exact else dummy()
+            kinds.append(SLOT_INNER)
+            bits.append(0)
+            children.extend((zero_slot, one_slot, end_slot))
+            offsets.append(len(children))
+            sizes.append(1 + sizes[zero_slot] + sizes[one_slot]
+                         + sizes[end_slot])
+            return len(kinds) - 1
 
-        # Pass 2 — post-order with slot assignment: children before
-        # parents, so labels can be computed in one forward sweep, and
-        # every subtree lands in one contiguous slot block.
-        bit_nodes: List[BitNode] = []
-        interiors: List[Tuple[MttNode, Tuple[MttNode, ...]]] = []
-        slot_nodes: List[MttNode] = []
-        slot_index: Dict[int, int] = {}
-        slot_kinds = bytearray()
-        slot_bits = bytearray()
-        child_offsets = array("I", (0,))
-        child_slots: "array[int]" = array("I")
-        subtree_sizes: "array[int]" = array("I")
-        work: List[Tuple[MttNode, Optional[Tuple[MttNode, ...]]]] = \
-            [(root, None)]
-        while work:
-            node, children = work.pop()
-            kind = type(node)
-            if kind is DummyNode:
-                slot_index[id(node)] = len(slot_nodes)
-                slot_nodes.append(node)
-                slot_kinds.append(SLOT_DUMMY)
-                slot_bits.append(0)
-                child_offsets.append(len(child_slots))
-                subtree_sizes.append(1)
-                continue
-            if kind is BitNode:
-                bit_nodes.append(node)
-                slot_index[id(node)] = len(slot_nodes)
-                slot_nodes.append(node)
-                slot_kinds.append(SLOT_BIT)
-                slot_bits.append(node.bit)
-                child_offsets.append(len(child_slots))
-                subtree_sizes.append(1)
-                continue
-            if children is not None:
-                interiors.append((node, children))
-                slot_index[id(node)] = len(slot_nodes)
-                slot_nodes.append(node)
-                slot_kinds.append(SLOT_INTERIOR)
-                slot_bits.append(0)
-                size = 1
-                for child in children:
-                    child_slot = slot_index[id(child)]
-                    child_slots.append(child_slot)
-                    size += subtree_sizes[child_slot]
-                child_offsets.append(len(child_slots))
-                subtree_sizes.append(size)
-                continue
-            if kind is PrefixNode:
-                kids: Tuple[MttNode, ...] = tuple(node.bit_nodes)
-            else:
-                kids = tuple(c for c in node.children if c is not None)
-            work.append((node, kids))
-            work.extend((c, None) for c in kids)
-        self.bit_nodes = tuple(bit_nodes)
-        self.bit_values = tuple(b.bit for b in bit_nodes)
-        self.interiors = tuple(interiors)
-        self.reset_nodes = tuple(
-            [n for n, _ in interiors] + list(bit_nodes))
-        self.slot_nodes = tuple(slot_nodes)
-        self.slot_kinds = bytes(slot_kinds)
-        self.slot_bits = bytes(slot_bits)
-        self.child_offsets = child_offsets
-        self.child_slots = child_slots
-        self.subtree_sizes = subtree_sizes
-        self._slot_index = slot_index
-        self.rand_slots: "array[int]" = array(
-            "I", (slot_index[id(node)] for node, _ in rand_plan))
-        dummy = sum(1 for _, is_dummy in rand_plan if is_dummy)
-        self.counts = NodeCensus(inner=inner, prefix=prefix,
-                                 bit=len(bit_nodes), dummy=dummy)
+        walk(0, 0, 0, len(order))
+        self.n_slots = len(kinds)
+        self.n_leaves = leaves
+        self.slot_kinds = bytes(kinds)
+        self.slot_bits = bytes(bits)
+        self.child_offsets = offsets
+        self.child_slots = children
+        self.subtree_sizes = sizes
+        self.prefix_slots = prefix_slots
+        n_bits = len(children) - 3 * inner
+        self.counts = NodeCensus(inner=inner, prefix=len(prefix_slots),
+                                 bit=n_bits, dummy=leaves - n_bits)
 
-    @property
-    def n_slots(self) -> int:
-        """Total label slots (== the node census total; root is last)."""
-        return len(self.slot_nodes)
+    def children_of(self, slot: int) -> "array[int]":
+        """The child slots of ``slot`` in edge (or class) order."""
+        offsets = self.child_offsets
+        return self.child_slots[offsets[slot]:offsets[slot + 1]]
 
-    def slot_of(self, node: MttNode) -> int:
-        """The label-buffer slot assigned to ``node``."""
-        return self._slot_index[id(node)]
+
+def subtree_jobs(shape: FlatSchedule,
+                 cut_depth: int) -> List[Tuple[int, int, int]]:
+    """The subtrees ``cut_depth`` branch levels below the root, as
+    ascending ``(lo, hi, first_leaf)`` slot blocks.
+
+    ``first_leaf`` is the leaf (draw) index of the block's first leaf.
+    Dummy and prefix slots above the cut are blocks of their own, so
+    the slots outside every block (:func:`upper_slots`) are inner slots
+    only.  More depth yields more, smaller jobs and therefore a better
+    balanced schedule (the paper splits 'the MTT into subtrees that are
+    each labeled completely by one of the threads', §7.1).
+    """
+    kinds, sizes = shape.slot_kinds, shape.subtree_sizes
+    roots: List[int] = []
+    frontier = [(shape.n_slots - 1, 0)]
+    while frontier:
+        slot, depth = frontier.pop()
+        if depth >= cut_depth or kinds[slot] != SLOT_INNER:
+            roots.append(slot)
+        else:
+            frontier.extend((c, depth + 1) for c in shape.children_of(slot))
+    jobs: List[Tuple[int, int, int]] = []
+    leaf = 0
+    for root in sorted(roots):
+        lo, hi = root + 1 - sizes[root], root + 1
+        jobs.append((lo, hi, leaf))
+        leaf += kinds.count(SLOT_DUMMY, lo, hi) + \
+            kinds.count(SLOT_BIT, lo, hi)
+    return jobs
+
+
+def upper_slots(jobs: Sequence[Tuple[int, int, int]],
+                n_slots: int) -> List[int]:
+    """The slots outside every job block, ascending (children first)."""
+    out: List[int] = []
+    prev = 0
+    for lo, hi, _ in jobs:
+        out.extend(range(prev, lo))
+        prev = hi
+    out.extend(range(prev, n_slots))
+    return out
 
 
 @dataclass(frozen=True)
@@ -208,20 +225,19 @@ class NodeCensus:
 class Mtt:
     """A modified ternary tree over a set of prefixes.
 
-    Build with :meth:`build`; the result is unlabeled (no blinding values
-    or hashes).  :mod:`repro.mtt.labeling` assigns randomness and computes
-    the Merkle labels; :mod:`repro.mtt.proofs` generates and checks bit
-    proofs against the labeled tree.
+    Build with :meth:`build`; the result is unlabeled.
+    :mod:`repro.mtt.labeling` draws the randomness and computes the
+    Merkle labels into :attr:`labels` (one per slot) and :attr:`draws`
+    (one bitstring per leaf, in leaf order); :mod:`repro.mtt.proofs`
+    generates bit proofs from them.
     """
 
-    def __init__(self, root: MttNode,
-                 prefix_nodes: Dict[Prefix, PrefixNode]):
-        self.root = root
-        self._prefix_nodes = prefix_nodes
-        self._schedule: Optional[FlatSchedule] = None
+    __slots__ = ("_schedule", "labels", "draws")
 
-    # ------------------------------------------------------------------
-    # Construction
+    def __init__(self, schedule: FlatSchedule):
+        self._schedule = schedule
+        self.labels: Optional[List[bytes]] = None
+        self.draws: Optional[List[bytes]] = None
 
     @classmethod
     def build(cls, entries: Mapping[Prefix, Sequence[int]]) -> "Mtt":
@@ -231,100 +247,86 @@ class Mtt:
         indifference class, as computed by
         :func:`repro.core.bits.compute_bits`.
         """
-        if not entries:
-            return cls(root=DummyNode(label=None),
-                       prefix_nodes={})
-        root = InnerNode()
-        prefix_nodes: Dict[Prefix, PrefixNode] = {}
-        for prefix in sorted(entries):
-            bits = entries[prefix]
-            if not bits:
-                raise ValueError(f"no bits supplied for {prefix}")
-            node = root
-            for bit in prefix.bits():
-                child = node.children[bit]
-                if child is None:
-                    child = InnerNode()
-                    node.children[bit] = child
-                elif not isinstance(child, InnerNode):
-                    raise ValueError("construction order violated")
-                node = child
-            if node.children[EDGE_END] is not None:
-                raise ValueError(f"duplicate prefix {prefix}")
-            bit_nodes = [BitNode(class_index=i, bit=b, blinding=None)
-                         for i, b in enumerate(bits)]
-            prefix_node = PrefixNode(prefix=prefix, bit_nodes=bit_nodes)
-            node.children[EDGE_END] = prefix_node
-            prefix_nodes[prefix] = prefix_node
-        _fill_dummies(root)
-        return cls(root=root, prefix_nodes=prefix_nodes)
+        return cls(FlatSchedule(entries))
 
     # ------------------------------------------------------------------
     # Lookup
 
+    def schedule(self) -> FlatSchedule:
+        """The tree's slot arrays."""
+        return self._schedule
+
     @property
     def prefixes(self) -> Tuple[Prefix, ...]:
-        return tuple(sorted(self._prefix_nodes))
+        return tuple(sorted(self._schedule.prefix_slots))
 
-    def prefix_node(self, prefix: Prefix) -> Optional[PrefixNode]:
-        return self._prefix_nodes.get(prefix)
+    def __contains__(self, prefix: object) -> bool:
+        return prefix in self._schedule.prefix_slots
+
+    def prefix_slot(self, prefix: Prefix) -> Optional[int]:
+        entry = self._schedule.prefix_slots.get(prefix)
+        return None if entry is None else entry[0]
 
     def bits_for(self, prefix: Prefix) -> Optional[Tuple[int, ...]]:
-        node = self._prefix_nodes.get(prefix)
-        if node is None:
+        slot = self.prefix_slot(prefix)
+        if slot is None:
             return None
-        return tuple(b.bit for b in node.bit_nodes)
+        shape = self._schedule
+        k = len(shape.children_of(slot))
+        return tuple(shape.slot_bits[slot - k:slot])
 
-    def path_to(self, prefix: Prefix) -> Optional[List[InnerNode]]:
-        """Inner nodes from the root down to (and including) the node
-        whose E child is the prefix node; None if absent."""
-        if prefix not in self._prefix_nodes:
+    def path_to(self, prefix: Prefix) -> Optional[List[int]]:
+        """Inner slots from the root down to (and including) the one
+        whose E child is the prefix slot; None if absent."""
+        if prefix not in self._schedule.prefix_slots:
             return None
-        if not isinstance(self.root, InnerNode):
-            return None
-        path = [self.root]
-        node = self.root
-        for bit in prefix.bits():
-            node = node.children[bit]
+        shape = self._schedule
+        offsets, children = shape.child_offsets, shape.child_slots
+        node = shape.n_slots - 1
+        path = [node]
+        for bit in prefix.iter_bits():
+            node = children[offsets[node] + bit]
             path.append(node)
         return path
 
-    # ------------------------------------------------------------------
-    # Introspection
-
-    def schedule(self) -> FlatSchedule:
-        """The cached flattened labeling schedule for this tree shape.
-
-        Built lazily on first use and reused for every subsequent
-        commitment round; the shape of a built tree never changes, only
-        the randomness does.
-        """
-        if self._schedule is None:
-            self._schedule = FlatSchedule(self.root)
-        return self._schedule
-
-    def iter_nodes(self) -> Iterator[MttNode]:
-        stack: List[MttNode] = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, InnerNode):
-                stack.extend(c for c in node.children if c is not None)
-            elif isinstance(node, PrefixNode):
-                stack.extend(node.bit_nodes)
-
     def census(self) -> NodeCensus:
-        return self.schedule().counts
+        return self._schedule.counts
+
+    # ------------------------------------------------------------------
+    # Node view (Figure 4, structure tests, the compute_label oracle)
+
+    def nodes(self) -> List[MttNode]:
+        """Fresh node objects for every slot, in slot order (root last).
+
+        A view for inspection and reference checks only: the nodes
+        carry no randomness or labels, and building them costs one
+        Python object per slot.
+        """
+        shape = self._schedule
+        names = {slot: p for p, (slot, _) in shape.prefix_slots.items()}
+        out: List[MttNode] = []
+        run: List[BitNode] = []  # the bit nodes of the next prefix
+        for slot, kind in enumerate(shape.slot_kinds):
+            if kind == SLOT_DUMMY:
+                out.append(DummyNode())
+            elif kind == SLOT_BIT:
+                bit = BitNode(class_index=len(run),
+                              bit=shape.slot_bits[slot])
+                run.append(bit)
+                out.append(bit)
+            elif kind == SLOT_PREFIX:
+                out.append(PrefixNode(prefix=names[slot], bit_nodes=run))
+                run = []
+            else:
+                inner = InnerNode()
+                inner.children = [out[c] for c in shape.children_of(slot)]
+                out.append(inner)
+        return out
+
+    @property
+    def root(self) -> MttNode:
+        """The root of a fresh node view (see :meth:`nodes`)."""
+        return self.nodes()[-1]
 
     def validate(self) -> None:
         validate_structure(self.root)
-
-
-def _fill_dummies(node: InnerNode) -> None:
-    """Fill every empty child slot with a dummy node, recursively."""
-    for edge in EDGES:
-        child = node.children[edge]
-        if child is None:
-            node.children[edge] = DummyNode(label=None)
-        elif isinstance(child, InnerNode):
-            _fill_dummies(child)

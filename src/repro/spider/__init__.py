@@ -21,7 +21,7 @@ from .log import EntryKind, LogEntry, SpiderLog, TamperError
 from .node import EVALUATION_CLASSES, PROOF_TRAFFIC, SPIDER_TRAFFIC, \
     SpiderDeployment, SpiderNode, VerificationOutcome, evaluation_scheme
 from .proofgen import ProofGenerator, ProofSet, Reconstruction
-from .recorder import CommitmentRecord, Recorder
+from .recorder import CommitmentOrderError, CommitmentRecord, Recorder
 from .windows import RouteChange, admissible_inputs, choose_input, \
     stable_in_window, value_at
 from .wire import SpiderAck, SpiderAnnounce, SpiderBitProof, \
@@ -44,7 +44,7 @@ __all__ = [
     "SpiderDeployment", "SpiderNode", "VerificationOutcome",
     "evaluation_scheme",
     "ProofGenerator", "ProofSet", "Reconstruction",
-    "CommitmentRecord", "Recorder",
+    "CommitmentOrderError", "CommitmentRecord", "Recorder",
     "RouteChange", "admissible_inputs", "choose_input",
     "stable_in_window", "value_at",
     "SpiderAck", "SpiderAnnounce", "SpiderBitProof", "SpiderCommitment",

@@ -189,7 +189,7 @@ class ProofGenerator:
             exports = state.exports.get(neighbor, {})
             prefixes = set(exports) | set(watch)
             for prefix in prefixes:
-                if tree.prefix_node(prefix) is None:
+                if prefix not in tree:
                     continue  # nothing committed for this prefix
                 offer = exports.get(prefix, NULL_ROUTE)
                 if offer is not NULL_ROUTE:
@@ -221,7 +221,7 @@ class ProofGenerator:
                 tree, neighbor, reconstruction.commit_time, prefix,
                 recorder.scheme.classify(advertised))
         promise = recorder.promises.get(neighbor)
-        if promise is not None and tree.prefix_node(prefix) is not None:
+        if promise is not None and prefix in tree:
             offer = state.exports.get(neighbor, {}).get(prefix,
                                                         NULL_ROUTE)
             if offer is not NULL_ROUTE:

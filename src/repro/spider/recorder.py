@@ -45,6 +45,16 @@ if TYPE_CHECKING:
     from ..netsim.events import Simulator
 
 
+class CommitmentOrderError(ValueError):
+    """A commitment was requested at or before the previous one's
+    millisecond.
+
+    The per-commitment seed is ``H(master, ms(t))`` (§5.3 fresh
+    blinding), so two commitments within one millisecond would share
+    every blinding string; the recorder refuses the second one.
+    """
+
+
 @dataclass
 class _PendingAnnounce:
     """Outbox entry awaiting batch signing."""
@@ -533,22 +543,33 @@ class Recorder:
         return NULL_ROUTE
 
     def make_commitment(self) -> CommitmentRecord:
-        """Build, sign, log, and broadcast one commitment."""
-        self.flush_outbox()  # the commitment must cover queued messages
+        """Build, sign, log, and broadcast one commitment.
+
+        Raises :class:`CommitmentOrderError`, before any seed is
+        derived, unless the clock has moved past the previous
+        commitment's millisecond.
+        """
         commit_time = self.clock.now
+        if self.commitments and int(round(commit_time * 1000)) <= \
+                int(round(self.commitments[-1].commit_time * 1000)):
+            raise CommitmentOrderError(
+                f"commitment at t={commit_time} does not follow the "
+                f"previous one at t={self.commitments[-1].commit_time} "
+                "by at least one millisecond")
+        self.flush_outbox()  # the commitment must cover queued messages
         with self._obs.span("commitment", self.clock,
                             node=f"as{self.asn}"):
             entries = self.mtt_entries(self.state)
             with self.cpu.section("mtt"):
-                tree = Mtt.build(entries)
-                # materialize=False: only the root leaves this scope —
-                # the tree is discarded, and proofs later come from a
+                # Only the root leaves this scope: the tree and its
+                # label list are dropped, and proofs later come from a
                 # fresh §6.5 reconstruction in the proof generator.
+                tree = Mtt.build(entries)
                 report = label_tree_with_workers(
                     tree, Rc4Csprng(self.commitment_seed(commit_time)),
                     workers=self.config.commit_workers,
                     cut_depth=self.config.label_cut_depth,
-                    pool=self.labeling_pool(), materialize=False)
+                    pool=self.labeling_pool())
             with self.cpu.section("signatures"):
                 message = SpiderCommitment.make(self.signer, commit_time,
                                                 report.root_label)

@@ -35,8 +35,9 @@ from typing import List, Optional, Tuple, Union
 from ..crypto.hashing import DIGEST_SIZE
 
 #: Bumped whenever the segment layout changes shape; readers reject
-#: other versions outright rather than guessing.
-STORE_VERSION = 1
+#: other versions outright rather than guessing.  Version 2: checkpoint
+#: records carry a u32 state length (was u16).
+STORE_VERSION = 2
 
 SEGMENT_MAGIC = b"SPDRSEG1"
 

@@ -20,8 +20,8 @@ from repro.bgp.prefix import Prefix
 from repro.crypto.keys import KeyRegistry, make_identity
 from repro.crypto.rc4 import Rc4Csprng
 from repro.mtt.labeling import label_tree, label_tree_parallel
-from repro.mtt.pool import LabelPool, PoolBrokenError, subtree_jobs
-from repro.mtt.tree import Mtt
+from repro.mtt.pool import LabelPool, PoolBrokenError
+from repro.mtt.tree import Mtt, subtree_jobs, upper_slots
 from repro.core.promise import total_order_promise
 from repro.netsim.events import Simulator
 from repro.spider.config import SpiderConfig
@@ -36,13 +36,13 @@ def entries_grid(n, k):
 
 
 def serial_snapshot(tree, seed):
-    """Serial-label the tree and capture (root, per-node labels)."""
+    """Serial-label the tree and capture (root, per-slot labels)."""
     report = label_tree(tree, Rc4Csprng(seed))
     return report.root_label, node_labels(tree)
 
 
 def node_labels(tree):
-    return [node.label for node in tree.schedule().slot_nodes]
+    return list(tree.labels)
 
 
 @pytest.fixture(scope="module")
@@ -86,18 +86,10 @@ class TestWarmPool:
         tree = Mtt.build(entries_grid(16, 4))
         _, expected = serial_snapshot(tree, b"per-node")
         pool = pools(2)
+        tree.labels = None
         label_tree_parallel(tree, Rc4Csprng(b"per-node"), workers=2,
-                            pool=pool, materialize=True)
+                            pool=pool)
         assert node_labels(tree) == expected
-
-    def test_materialize_false_returns_root_only(self, pools):
-        tree = Mtt.build(entries_grid(16, 4))
-        root, _ = serial_snapshot(tree, b"root-only")
-        pool = pools(2)
-        report = label_tree_parallel(tree, Rc4Csprng(b"root-only"),
-                                     workers=2, pool=pool,
-                                     materialize=False)
-        assert report.root_label == root
 
     def test_shape_change_reinstalls_program(self, pools):
         pool = pools(2)
@@ -112,8 +104,9 @@ class TestWarmPool:
         pool = LabelPool(2, timeout=10.0)
         pool.close()
         tree = Mtt.build(entries_grid(4, 2))
+        label_tree(tree, Rc4Csprng(b"closed"))  # draws the randomness
         with pytest.raises(PoolBrokenError):
-            pool.label(tree, cut_depth=2)
+            pool.label(tree, 2, tree.draws)
         pool.close()  # idempotent
 
     def test_ephemeral_pool_counts_spinup(self):
@@ -162,11 +155,11 @@ class TestWorkerDeathRecovery:
             pool.close()
             pytest.skip("no subprocess support on this platform")
         tree = Mtt.build(entries_grid(6, 2))
-        label_tree(tree, Rc4Csprng(b"die"))  # assigns randomness
-        pool.label(tree, cut_depth=2)  # install + one good round
+        label_tree(tree, Rc4Csprng(b"die"))  # draws the randomness
+        pool.label(tree, 2, tree.draws)  # install + one good round
         pool._conns[0].send(("die",))
         with pytest.raises(PoolBrokenError):
-            pool.label(tree, cut_depth=2)
+            pool.label(tree, 2, tree.draws)
         assert pool.broken
         pool.close()
 
@@ -187,9 +180,9 @@ class TestThreadFallback:
 
     def test_thread_dispatch_is_per_worker_not_per_job(self, pools):
         tree = Mtt.build(entries_grid(32, 4))
-        label_tree(tree, Rc4Csprng(b"dispatch"))  # assigns randomness
+        label_tree(tree, Rc4Csprng(b"dispatch"))  # draws the randomness
         pool = pools(2, prefer_processes=False)
-        result = pool.label(tree, cut_depth=4)
+        result = pool.label(tree, 4, tree.draws)
         # Many subtree jobs, but at most one dispatch per worker: the
         # dispatch-per-subtree overhead was the thread path's
         # regression.
@@ -243,6 +236,9 @@ class TestRecorderLifecycle:
         pool = recorder.labeling_pool()
         assert pool is not None and not pool.broken
         record_a = recorder.make_commitment()
+        # A second commitment needs a later millisecond (§5.3 fresh
+        # blinding: same-instant commitments are refused).
+        recorder.clock.advance_to(recorder.clock.now + 1.0)
         record_b = recorder.make_commitment()
         assert record_a.root and record_b.root
         assert recorder.labeling_pool() is pool  # warm, not respawned
@@ -305,15 +301,19 @@ class TestPoolDeterminismProperty:
     @settings(max_examples=10, deadline=None)
     @given(random_entries(), st.integers(0, 4))
     def test_job_partition_covers_tree(self, entries, cut_depth):
-        tree = Mtt.build(entries)
-        jobs = subtree_jobs(tree, cut_depth)
-        schedule = tree.schedule()
-        sizes = schedule.subtree_sizes
+        schedule = Mtt.build(entries).schedule()
+        jobs = subtree_jobs(schedule, cut_depth)
+        kinds = schedule.slot_kinds
         seen = set()
-        for job in jobs:
-            hi = schedule.slot_of(job) + 1
-            lo = hi - sizes[hi - 1]
+        leaf = 0
+        for lo, hi, first_leaf in jobs:
             block = set(range(lo, hi))
             assert not (block & seen)  # disjoint
             seen |= block
-        assert len(seen) <= schedule.n_slots
+            assert first_leaf == leaf  # leaves stay in draw order
+            leaf += sum(1 for s in range(lo, hi) if kinds[s] < 2)
+        upper = upper_slots(jobs, schedule.n_slots)
+        assert seen.isdisjoint(upper)
+        assert len(seen) + len(upper) == schedule.n_slots
+        # Only inner slots sit above the cut.
+        assert all(kinds[s] == 2 for s in upper)

@@ -110,8 +110,8 @@ class TestParallelLabeling:
 
 class TestGoldenRoots:
     """Anchors captured from the pre-optimization implementation: the
-    flattened schedule, blocked keystream, and worker pool must all
-    preserve the exact CSPRNG draw order and therefore these roots."""
+    slot arrays, blocked keystream, and worker pool must all preserve
+    the exact CSPRNG draw order and therefore these roots."""
 
     GOLDEN_BASIC = "7c275377aa7845b2d22b413297edb5700baec380"
     GOLDEN_WIDE = "d56c957599fc43ecd2cb483563e01b49e59ea4d8"
@@ -134,9 +134,9 @@ class TestGoldenRoots:
     def test_generic_traversal_matches_anchor(self):
         # compute_label is the reference implementation the fast
         # schedule-driven pass must agree with.
-        tree = Mtt.build(self.wide_entries())
-        assign_randomness(tree, Rc4Csprng(b"golden-wide"))
-        assert compute_label(tree.root).hex() == self.GOLDEN_WIDE
+        root = Mtt.build(self.wide_entries()).root
+        assign_randomness(root, Rc4Csprng(b"golden-wide"))
+        assert compute_label(root).hex() == self.GOLDEN_WIDE
 
 
 class TestRealPool:

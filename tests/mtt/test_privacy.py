@@ -136,7 +136,7 @@ class TestBlindingFreshness:
         entries_t1 = {TARGET: [1, 0], Prefix.parse("0.0.0.0/2"): [1, 1]}
         tree_a, _ = labeled_tree(dict(entries_t0), b"reused")
         tree_b, _ = labeled_tree(dict(entries_t1), b"reused")
-        label_a = tree_a.prefix_node(TARGET).label
-        label_b = tree_b.prefix_node(TARGET).label
+        label_a = tree_a.labels[tree_a.prefix_slot(TARGET)]
+        label_b = tree_b.labels[tree_b.prefix_slot(TARGET)]
         # TARGET's subtree was identical in both states: same label.
         assert label_a == label_b

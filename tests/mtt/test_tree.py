@@ -34,7 +34,7 @@ class TestBuild:
 
     def test_every_inner_slot_filled(self):
         tree = Mtt.build(entries(FIGURE4))
-        for node in tree.iter_nodes():
+        for node in tree.nodes():
             if isinstance(node, InnerNode):
                 assert all(c is not None for c in node.children)
 

@@ -9,6 +9,17 @@ from repro.spider.log import EntryKind
 from .conftest import FEED, ORIGINATED, P, Q
 
 
+def commit_fresh(network, dep, asn):
+    """Commit one millisecond-fresh round on the shared deployment.
+
+    The module fixture's clock does not move between tests, and a
+    recorder refuses a second commitment in the same millisecond
+    (§5.3 fresh blinding), so each commit first steps the clock.
+    """
+    network.sim.clock.advance_to(network.sim.now + 1.0)
+    return dep.commit_now(asn)
+
+
 class TestRecorderMirroring:
     def test_spider_messages_flow(self, deployment):
         network, dep = deployment
@@ -53,7 +64,7 @@ class TestRecorderMirroring:
 class TestCommitments:
     def test_commitment_broadcast_to_neighbors(self, deployment):
         network, dep = deployment
-        record = dep.commit_now(FOCUS_AS)
+        record = commit_fresh(network, dep, FOCUS_AS)
         network.settle()
         for neighbor in network.topology.neighbors(FOCUS_AS):
             commitment = dep.node(neighbor).commitment_from(
@@ -64,7 +75,7 @@ class TestCommitments:
     def test_commitment_seed_logged_compactly(self, deployment):
         network, dep = deployment
         node = dep.node(FOCUS_AS)
-        dep.commit_now(FOCUS_AS)
+        commit_fresh(network, dep, FOCUS_AS)
         entries = node.recorder.log.of_kind(EntryKind.COMMITMENT)
         assert entries
         # §7.7: each commitment adds only the seed (plus tiny framing).
@@ -99,7 +110,7 @@ class TestReconstruction:
     def test_replay_reproduces_root(self, deployment):
         network, dep = deployment
         node = dep.node(FOCUS_AS)
-        record = dep.commit_now(FOCUS_AS)
+        record = commit_fresh(network, dep, FOCUS_AS)
         reconstruction = node.proofgen.reconstruct(record.commit_time)
         assert reconstruction.root == record.root
 
@@ -122,7 +133,7 @@ class TestReconstruction:
     def test_reconstruction_cache_hits_on_repeat(self, deployment):
         network, dep = deployment
         node = dep.node(FOCUS_AS)
-        record = dep.commit_now(FOCUS_AS)
+        record = commit_fresh(network, dep, FOCUS_AS)
         gen = node.proofgen
         first = gen.reconstruct(record.commit_time)
         hits_before = gen.cache_hits
@@ -134,7 +145,7 @@ class TestReconstruction:
     def test_reconstruction_cache_bypass(self, deployment):
         network, dep = deployment
         node = dep.node(FOCUS_AS)
-        record = dep.commit_now(FOCUS_AS)
+        record = commit_fresh(network, dep, FOCUS_AS)
         gen = node.proofgen
         cached = gen.reconstruct(record.commit_time)
         fresh = gen.reconstruct(record.commit_time, use_cache=False)
@@ -174,7 +185,7 @@ class TestVerification:
     def test_honest_verification_clean_everywhere(self, deployment):
         network, dep = deployment
         for elector in network.topology.ases:
-            dep.commit_now(elector)
+            commit_fresh(network, dep, elector)
             outcomes = dep.verify(elector)
             for outcome in outcomes:
                 assert outcome.report.ok, \
@@ -183,7 +194,7 @@ class TestVerification:
 
     def test_producer_proofs_cover_all_inputs(self, deployment):
         network, dep = deployment
-        dep.commit_now(FOCUS_AS)
+        commit_fresh(network, dep, FOCUS_AS)
         outcomes = dep.verify(FOCUS_AS)
         node = dep.node(FOCUS_AS)
         for outcome in outcomes:
@@ -195,7 +206,7 @@ class TestVerification:
         """The §7.3 'shortest route to Google' case: one prefix only."""
         network, dep = deployment
         node = dep.node(FOCUS_AS)
-        record = dep.commit_now(FOCUS_AS)
+        record = commit_fresh(network, dep, FOCUS_AS)
         reconstruction = node.proofgen.reconstruct(record.commit_time)
         proofs = node.proofgen.proofs_for_prefix(reconstruction, 7, P)
         full = node.proofgen.proofs_for(reconstruction, 7)
@@ -221,7 +232,7 @@ class TestVerification:
         """A consumer may demand ⊥-offer proofs for a prefix it knows
         about; a clean elector passes."""
         network, dep = deployment
-        record = dep.commit_now(FOCUS_AS)
+        record = commit_fresh(network, dep, FOCUS_AS)
         # AS 2 never receives ORIGINATED back from AS 5 (it supplied the
         # better route itself or valley-freedom suppressed it); it can
         # still watch the prefix.
@@ -232,7 +243,7 @@ class TestVerification:
     def test_proof_traffic_metered(self, deployment):
         network, dep = deployment
         from repro.spider.node import PROOF_TRAFFIC
-        dep.commit_now(FOCUS_AS)
+        commit_fresh(network, dep, FOCUS_AS)
         dep.verify(FOCUS_AS)
         assert network.meter(FOCUS_AS).total(PROOF_TRAFFIC) > 0
 

@@ -94,3 +94,60 @@ class TestKillRestartSmoke:
         assert summary["byte_identical"] is True
         assert summary["recovered_entries"] == 4
         assert summary["final_entries"] == summary["reference_entries"]
+
+
+class TestLargeCheckpoint:
+    """A checkpoint of more than 64 KiB (over ~1,600 routes) must
+    survive the durable store: its record carries a u32 length."""
+
+    ROUTES = 2100
+
+    def test_commit_recover_and_reconstruct(self, tmp_path):
+        from repro.bgp.route import Route
+        from repro.spider.log import SpiderLog
+        from repro.store.recovery import recover
+        from repro.store.seglog import SegmentedLogStore
+        from repro.traces.workload import generate_prefixes
+
+        store_dir = str(tmp_path / "store")
+        with use_registry(Registry()):
+            hub = LoopbackHub()
+            rt_a = exchange_runtime(ASN_A, hub.attach(ASN_A),
+                                    store_dir=store_dir,
+                                    store_fsync="batch")
+            rt_b = exchange_runtime(ASN_B, hub.attach(ASN_B))
+            rt_b.advance_to(1.0)
+            for i, prefix in enumerate(
+                    generate_prefixes(self.ROUTES, seed=5)):
+                rt_b.announce(ASN_A, Route(
+                    prefix=prefix, as_path=(ASN_B, 4000 + i % 7),
+                    neighbor=ASN_B))
+            hub.deliver_all()
+            rt_a.advance_to(1.0)
+            rt_a.deliver_pending()
+            assert len(rt_a.recorder.state.imports[ASN_B]) == self.ROUTES
+            rt_a.advance_to(60.0)
+            record = rt_a.commit()
+            head = rt_a.recorder.log.head
+            entries = len(rt_a.recorder.log)
+            rt_a.close()
+
+            store = SegmentedLogStore(store_dir)
+            try:
+                recovered = recover(store).entries
+            finally:
+                store.close()
+            log = SpiderLog.restore(recovered)
+            log.verify_chain()
+            assert len(log) == entries and log.head == head
+            assert [e.kind for e in recovered][-1] is \
+                EntryKind.CHECKPOINT
+
+            rt_a2 = exchange_runtime(ASN_A, LoopbackHub().attach(ASN_A),
+                                     store_dir=store_dir)
+            try:
+                rebuilt = rt_a2.node.proofgen.reconstruct(
+                    record.commit_time, use_cache=False)
+            finally:
+                rt_a2.close()
+            assert rebuilt.root == record.root

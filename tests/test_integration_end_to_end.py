@@ -40,6 +40,17 @@ def world():
     return topology, network, deployment
 
 
+def commit_fresh(network, deployment, asn):
+    """Commit one millisecond-fresh round on the shared world.
+
+    The module fixture's clock does not move between tests, and a
+    recorder refuses a second commitment in the same millisecond
+    (§5.3 fresh blinding), so each commit first steps the clock.
+    """
+    network.sim.clock.advance_to(network.sim.now + 1.0)
+    return deployment.commit_now(asn)
+
+
 def hub_of(topology):
     """A well-connected AS to use as the verification target."""
     return max(topology.ases, key=topology.degree)
@@ -57,7 +68,7 @@ class TestFullStack:
     def test_every_as_verifies_clean(self, world):
         topology, network, deployment = world
         for elector in topology.ases:
-            deployment.commit_now(elector)
+            commit_fresh(network, deployment, elector)
             outcomes = deployment.verify(elector)
             for outcome in outcomes:
                 assert outcome.report.ok, \
@@ -67,7 +78,7 @@ class TestFullStack:
     def test_hub_verification_with_full_watch_sets(self, world):
         topology, network, deployment = world
         hub = hub_of(topology)
-        deployment.commit_now(hub)
+        commit_fresh(network, deployment, hub)
         watch = {
             neighbor: sorted(network.speaker(neighbor).loc_rib.prefixes())
             for neighbor in topology.neighbors(hub)
@@ -78,7 +89,7 @@ class TestFullStack:
     def test_extended_verification_clean(self, world):
         topology, network, deployment = world
         hub = hub_of(topology)
-        record = deployment.commit_now(hub)
+        record = commit_fresh(network, deployment, hub)
         result = run_extended_verification(deployment, hub,
                                            record.commit_time)
         assert result.clean

@@ -13,7 +13,7 @@ from repro.bgp.prefix import Prefix
 from repro.crypto.rc4 import Rc4Csprng
 from repro.harness.reporting import render_table
 from repro.mtt.aggregation import aggregation_overhead, with_aggregates
-from repro.mtt.labeling import label_tree
+from repro.mtt.labeling import label_tree_with_workers
 from repro.mtt.tree import Mtt
 from repro.traces.workload import generate_prefixes
 
@@ -70,7 +70,7 @@ def test_aggregate_entries_commit_and_prove(benchmark, emit):
     tree = Mtt.build(entries)
 
     def commit():
-        return label_tree(tree, Rc4Csprng(b"agg-bench"))
+        return label_tree_with_workers(tree, Rc4Csprng(b"agg-bench"))
 
     report = benchmark.pedantic(commit, rounds=1, iterations=1)
     from repro.mtt.proofs import generate_proof, verify_proof

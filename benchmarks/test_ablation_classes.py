@@ -12,7 +12,7 @@ import pytest
 from repro.bgp.prefix import Prefix
 from repro.crypto.rc4 import Rc4Csprng
 from repro.harness.reporting import render_table
-from repro.mtt.labeling import label_tree
+from repro.mtt.labeling import label_tree_with_workers
 from repro.mtt.proofs import generate_proof
 from repro.mtt.tree import Mtt
 from repro.traces.workload import generate_prefixes
@@ -27,7 +27,7 @@ def sweep():
     results = {}
     for k in KS:
         tree = Mtt.build({p: [1] * k for p in prefixes})
-        report = label_tree(tree, Rc4Csprng(b"ablation"))
+        report = label_tree_with_workers(tree, Rc4Csprng(b"ablation"))
         proof = generate_proof(tree, prefixes[0], 0)
         results[k] = {
             "census": tree.census(),

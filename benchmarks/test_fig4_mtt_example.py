@@ -7,7 +7,7 @@ composition and the prefix-to-path mapping the figure illustrates.
 from repro.bgp.prefix import Prefix
 from repro.crypto.rc4 import Rc4Csprng
 from repro.harness.reporting import render_table
-from repro.mtt.labeling import label_tree
+from repro.mtt.labeling import label_tree_with_workers
 from repro.mtt.nodes import InnerNode, PrefixNode
 from repro.mtt.proofs import generate_proof, verify_proof
 from repro.mtt.tree import Mtt
@@ -42,7 +42,7 @@ def test_figure4_commit_and_prove(benchmark, emit):
     tree = build_figure4(k=3)
 
     def commit():
-        return label_tree(tree, Rc4Csprng(b"fig4"))
+        return label_tree_with_workers(tree, Rc4Csprng(b"fig4"))
 
     report = benchmark(commit)
     proof = generate_proof(tree, Prefix.parse("160.0.0.0/3"), 1)

@@ -25,13 +25,13 @@ def result():
 def test_labeling_time_and_speedup(benchmark, result, emit):
     # Benchmark the sequential labeling of a fresh tree.
     from repro.crypto.rc4 import Rc4Csprng
-    from repro.mtt.labeling import label_tree
+    from repro.mtt.labeling import label_tree_with_workers
     from repro.mtt.tree import Mtt
     from repro.traces.workload import generate_prefixes
     entries = {p: [1] * K for p in generate_prefixes(N_PREFIXES, seed=7)}
 
     def label_fresh():
-        return label_tree(Mtt.build(entries), Rc4Csprng(b"bench"))
+        return label_tree_with_workers(Mtt.build(entries), Rc4Csprng(b"bench"))
 
     benchmark.pedantic(label_fresh, rounds=1, iterations=1)
 

@@ -16,8 +16,9 @@ from ..bgp.prefix import Prefix
 from ..core.bits import compute_bits
 from ..core.promise import total_order_promise
 from ..crypto.rc4 import Rc4Csprng
-from ..mtt.labeling import label_tree, label_tree_parallel, \
+from ..mtt.labeling import label_tree_with_workers, \
     parallel_labeling_report
+from ..mtt.pool import LabelPool
 from ..mtt.stats import PAPER_CENSUS, predict_census
 from ..mtt.tree import Mtt, NodeCensus
 from ..netsim.network import BGP_TRAFFIC, Network, TraceEvent
@@ -223,7 +224,8 @@ class LabelingResult:
     #: that the makespan model schedules — the apples-to-apples baseline
     #: for :meth:`speedup`.
     sequential_seconds: float
-    #: Serial labeling call (:func:`repro.mtt.labeling.label_tree`):
+    #: Serial labeling call
+    #: (:func:`repro.mtt.labeling.label_tree_with_workers`, no pool):
     #: the randomness draw plus the hash pass.
     flat_seconds: float
     makespans: Dict[int, float]  # workers → modeled seconds
@@ -233,12 +235,11 @@ class LabelingResult:
     model_sequential: Dict[int, float] = field(default_factory=dict)
     #: workers → measured wall-clock of a real pool run — draw plus
     #: hash phase, spawn/install split into ``pool_spinup_seconds``
-    #: (only populated when ``pool_workers`` was requested).
+    #: (only populated when ``pool_workers`` was requested; one worker
+    #: means the serial pass).
     pool_seconds: Dict[int, float] = field(default_factory=dict)
     #: workers → one-time pool spawn + program install cost.
     pool_spinup_seconds: Dict[int, float] = field(default_factory=dict)
-    #: pool mode actually used ("process" or "thread"), "" if unmeasured.
-    pool_mode: str = ""
 
     def speedup(self, workers: int) -> float:
         return self.model_sequential[workers] / self.makespans[workers]
@@ -255,14 +256,14 @@ def labeling_experiment(n_prefixes: int = 2000, k: int = 50,
                         ) -> LabelingResult:
     """Sequential labeling time plus the modeled §7.1 makespans; with
     ``pool_workers`` it also runs the *real* worker pool
-    (:func:`label_tree_parallel`) at each requested width and records
-    its wall clock — on a box with enough free cores the measured times
-    should approach the model."""
+    (:class:`~repro.mtt.pool.LabelPool`) at each requested width and
+    records its wall clock — on a box with enough free cores the
+    measured times should approach the model."""
     from ..traces.workload import generate_prefixes
     prefixes = generate_prefixes(n_prefixes, seed=seed)
     entries = {p: [1] * k for p in prefixes}
     tree = Mtt.build(entries)
-    flat = label_tree(tree, Rc4Csprng(b"label-exp"))
+    flat = label_tree_with_workers(tree, Rc4Csprng(b"label-exp"))
     makespans: Dict[int, float] = {}
     model_sequential: Dict[int, float] = {}
     sequential_seconds = 0.0
@@ -279,17 +280,19 @@ def labeling_experiment(n_prefixes: int = 2000, k: int = 50,
             raise RuntimeError("model labeling diverged from serial")
     pool_seconds: Dict[int, float] = {}
     pool_spinup_seconds: Dict[int, float] = {}
-    pool_mode = ""
     for c in pool_workers:
-        tree_c = Mtt.build(entries)
-        pool = label_tree_parallel(tree_c, Rc4Csprng(b"label-exp"),
-                                   workers=c)
-        if pool.root_label != flat.root_label:
+        pool = LabelPool(c) if c > 1 else None
+        try:
+            run = label_tree_with_workers(
+                Mtt.build(entries), Rc4Csprng(b"label-exp"), pool=pool)
+        finally:
+            if pool is not None:
+                pool.close()
+        if run.root_label != flat.root_label:
             raise RuntimeError("pool labeling diverged from serial")
-        pool_seconds[c] = pool.seconds
-        pool_spinup_seconds[c] = pool.spinup_seconds
-        if pool.mode != "serial":
-            pool_mode = pool.mode
+        pool_seconds[c] = run.seconds
+        pool_spinup_seconds[c] = run.install_seconds + (
+            pool.spinup_seconds if pool is not None else 0.0)
     return LabelingResult(n_prefixes=n_prefixes, k=k,
                           sequential_seconds=sequential_seconds,
                           flat_seconds=flat.seconds,
@@ -297,8 +300,7 @@ def labeling_experiment(n_prefixes: int = 2000, k: int = 50,
                           hash_count=flat.hash_count,
                           model_sequential=model_sequential,
                           pool_seconds=pool_seconds,
-                          pool_spinup_seconds=pool_spinup_seconds,
-                          pool_mode=pool_mode)
+                          pool_spinup_seconds=pool_spinup_seconds)
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +391,7 @@ def flat_vs_mtt_experiment(n_prefixes: int = 500, k: int = 50,
     entries = {p: bits for p in prefixes}
     start = time.perf_counter()
     tree = Mtt.build(entries)
-    report = label_tree(tree, Rc4Csprng(b"flat-exp"))
+    report = label_tree_with_workers(tree, Rc4Csprng(b"flat-exp"))
     mtt_seconds = time.perf_counter() - start
     return FlatVsMttResult(
         n_prefixes=n_prefixes, k=k, flat_seconds=flat_seconds,

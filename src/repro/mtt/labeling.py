@@ -17,13 +17,15 @@ per-commitment label list.  The list and the draw land on the tree
 recorder drops both with the tree once it has the root.
 
 The paper's prototype labels subtrees on ``c`` commitment threads
-(Section 7.1).  :func:`label_tree_parallel` reproduces this for real via
-:class:`~repro.mtt.pool.LabelPool`, a warm pool of worker processes that
-run :func:`label_slots` over contiguous subtree slot blocks in shared
-memory.  Because the randomness is drawn serially up front and every
-label is a pure function of its subtree, pool, thread-fallback, serial,
-and failure-fallback labeling produce byte-identical labels on every
-slot from the same seed (property-tested).
+(Section 7.1).  :func:`label_tree_with_workers`, the one labeling entry
+point, reproduces this for real when handed a
+:class:`~repro.mtt.pool.LabelPool`, a warm pool of worker processes
+that run :func:`label_slots` over contiguous subtree slot blocks in
+shared memory; without a pool it is the serial pass.  Because the
+randomness is drawn serially up front and every label is a pure
+function of its subtree, serial, pool, and failure-fallback labeling
+produce byte-identical labels on every slot from the same seed
+(property-tested).
 
 :func:`parallel_labeling_report` is retained as a *model* cross-check: it
 measures real per-subtree labeling times and reports the makespan of a
@@ -42,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..crypto.hashing import DIGEST_SIZE, bit_commitment, digest_concat
 from ..crypto.rc4 import Rc4Csprng
@@ -154,130 +156,72 @@ def _label_serial(tree: Mtt, draws: List[bytes]) -> bytes:
 
 @dataclass(frozen=True)
 class LabelingReport:
-    """Result of a sequential labeling run (``seconds``: draw + hash)."""
+    """Result of one labeling call.
 
-    root_label: bytes
-    seconds: float
-    hash_count: int
-
-
-def label_tree(tree: Mtt, csprng: Rc4Csprng) -> LabelingReport:
-    """Draw the randomness and label the whole tree, timing both."""
-    start = time.perf_counter()
-    shape = tree.schedule()
-    root_label = _label_serial(tree, csprng.bitstrings(shape.n_leaves))
-    seconds = time.perf_counter() - start
-    hashes = _hash_count(shape.counts)
-    _observe_labeling("serial", seconds, hashes, jobs=1, workers=1)
-    return LabelingReport(root_label=root_label, seconds=seconds,
-                          hash_count=hashes)
-
-
-# ----------------------------------------------------------------------
-# Real parallel labeling (the paper's c commitment threads, §7.1)
-
-
-@dataclass(frozen=True)
-class ParallelLabelReport:
-    """Result of a real multi-worker labeling run.
-
-    ``seconds`` is the randomness draw plus the hash phase (dispatch,
-    hashing, merge, copy-out); one-time costs — pool spawn when this
-    call created its own pool, plus installing a new tree shape into
-    shared memory — are reported separately as ``spinup_seconds``.
+    ``seconds`` is the randomness draw plus the hash phase (on the pool:
+    dispatch, hashing, merge, copy-out); installing a new tree shape
+    into the pool's shared memory is reported as ``install_seconds``.
+    ``mode`` is ``"serial"``, ``"process"``, or ``"serial-fallback"``
+    (the pool broke mid-round and the same draw was relabeled serially).
     """
 
     root_label: bytes
-    workers: int
     seconds: float
     hash_count: int
-    mode: str  # "process" | "thread" | "serial" | "serial-fallback"
+    mode: str
     jobs: int
-    spinup_seconds: float = 0.0  # pool spawn + program install, this call
+    install_seconds: float
 
 
-def label_tree_parallel(tree: Mtt, csprng: Rc4Csprng, workers: int,
-                        cut_depth: int = 4,
-                        prefer_processes: bool = True,
-                        pool: Optional["LabelPool"] = None,
-                        ) -> ParallelLabelReport:
-    """Draw the randomness serially, then label subtrees on ``c`` workers.
+def label_tree_with_workers(tree: Mtt, csprng: Rc4Csprng,
+                            pool: Optional["LabelPool"] = None,
+                            ) -> LabelingReport:
+    """Draw the randomness and label the whole tree, timing both.
 
-    The tree is partitioned into independent subtrees ``cut_depth``
-    branch levels below the root; each worker labels whole subtree slot
-    blocks in shared memory and the (small) remainder above the cut is
-    merged in-process, exactly as the paper splits "the MTT into
-    subtrees that are each labeled completely by one of the threads"
-    (§7.1).  The full label list lands on the tree, so proof generation
-    is oblivious to how the tree was labeled.
-
-    Pass a warm :class:`~repro.mtt.pool.LabelPool` (the recorder owns
-    one sized to ``SpiderConfig.commit_workers``) to amortize worker
-    spawn across rounds; without one, an ephemeral pool is created and
-    torn down, and its spawn cost shows up in ``spinup_seconds``.
+    The labeling entry point for the recorder and the proof generator.
+    Without a pool it is one serial pass.  With a warm
+    :class:`~repro.mtt.pool.LabelPool` (the recorder owns one,
+    ``SpiderConfig.commit_workers`` wide) the draw is still serial, and
+    the tree is cut into independent subtrees a few branch levels below
+    the root; each worker labels whole subtree slot blocks in shared
+    memory and the (small) remainder above the cut is merged
+    in-process, exactly as the paper splits "the MTT into subtrees that
+    are each labeled completely by one of the threads" (§7.1).  Either
+    way the full label list lands on the tree, so proof generation is
+    oblivious to how the tree was labeled.
 
     If the pool breaks mid-round (worker OOM-killed, crashed, or
     unresponsive) the round falls back to a serial relabel from the
     same draw, which yields byte-identical labels (mode
     ``"serial-fallback"``); the caller should discard the broken pool.
     """
-    from .pool import LabelPool, PoolBrokenError
+    from .pool import PoolBrokenError
 
-    if workers < 1:
-        raise ValueError("need at least one worker")
     shape = tree.schedule()
     hashes = _hash_count(shape.counts)
-    own_pool = pool is None and workers > 1
-    if own_pool:
-        pool = LabelPool(workers, prefer_processes=prefer_processes)
-    spinup_seconds = pool.spinup_seconds if own_pool and pool else 0.0
     start = time.perf_counter()
     draws = csprng.bitstrings(shape.n_leaves)
     mode, jobs, install_seconds = "serial", 1, 0.0
     root_label: Optional[bytes] = None
-    try:
-        if pool is not None:
-            try:
-                result = pool.label(tree, cut_depth, draws)
-                root_label, mode, jobs = \
-                    result.root_label, pool.mode, result.jobs
-                install_seconds = result.install_seconds
-            except PoolBrokenError:
-                # Worker death must never corrupt a commitment round:
-                # one serial pass over the same draw restores exactly
-                # the labels the pool would have produced.
-                get_registry().counter("mtt_pool_failures_total",
-                                       mode="fallback").inc()
-                mode = "serial-fallback"
-        if root_label is None:
-            root_label = _label_serial(tree, draws)
-        seconds = time.perf_counter() - start - install_seconds
-    finally:
-        if own_pool and pool is not None:
-            pool.close()
-    spinup_seconds += install_seconds
-    _observe_labeling(mode, seconds, hashes, jobs=jobs, workers=workers)
-    return ParallelLabelReport(
-        root_label=root_label, workers=workers, seconds=seconds,
-        hash_count=hashes, mode=mode, jobs=jobs,
-        spinup_seconds=spinup_seconds)
-
-
-def label_tree_with_workers(
-        tree: Mtt, csprng: Rc4Csprng, workers: int = 1,
-        cut_depth: int = 4, pool: Optional["LabelPool"] = None,
-) -> "Union[LabelingReport, ParallelLabelReport]":
-    """Labeling entry point for recorder and proof generator.
-
-    Serial pass when ``workers <= 1`` and no warm pool is supplied, the
-    real worker pool otherwise.  Both return objects exposing
-    ``root_label``, ``seconds``, and ``hash_count``, and both leave the
-    full label list on the tree.
-    """
-    if workers <= 1 and pool is None:
-        return label_tree(tree, csprng)
-    return label_tree_parallel(tree, csprng, workers=workers,
-                               cut_depth=cut_depth, pool=pool)
+    if pool is not None:
+        try:
+            result = pool.label(tree, draws)
+            root_label, mode, jobs = result.root_label, "process", \
+                result.jobs
+            install_seconds = result.install_seconds
+        except PoolBrokenError:
+            # Worker death must never corrupt a commitment round: one
+            # serial pass over the same draw restores exactly the
+            # labels the pool would have produced.
+            mode = "serial-fallback"
+    if root_label is None:
+        root_label = _label_serial(tree, draws)
+    seconds = time.perf_counter() - start - install_seconds
+    _observe_labeling(mode, seconds, hashes, jobs=jobs,
+                      workers=pool.workers if pool is not None else 1)
+    return LabelingReport(root_label=root_label, seconds=seconds,
+                          hash_count=hashes, mode=mode, jobs=jobs,
+                          install_seconds=install_seconds)
 
 
 # ----------------------------------------------------------------------
@@ -291,8 +235,9 @@ class ParallelReport:
     ``makespan_seconds`` models the wall-clock time of the paper's
     multi-threaded labeling: subtree jobs are assigned longest-first to
     the least-loaded worker, plus the (serial) root-merge cost.  The
-    real pool (:func:`label_tree_parallel`) should approach this bound
-    on a machine with at least ``c`` free cores.
+    real pool (:func:`label_tree_with_workers` with a
+    :class:`~repro.mtt.pool.LabelPool`) should approach this bound on a
+    machine with at least ``c`` free cores.
     """
 
     root_label: bytes

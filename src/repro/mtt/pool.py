@@ -35,21 +35,26 @@ This module replaces that design with two ideas:
   ``fork``/``exec``.  Installing a new tree shape re-uses the same
   workers; only the buffers are replaced.
 
-Failure model: a worker death (OOM kill, SIGKILL, crash) surfaces as
-:class:`PoolBrokenError` on the next dispatch or reply.  The pool marks
-itself broken and the caller (:func:`repro.mtt.labeling.
-label_tree_parallel`) falls back to a serial relabel from the same
-draw, so a commitment round never fails or produces a partially
-labeled tree; the recorder respawns a fresh pool on the next round.
-Where subprocesses are unavailable entirely, the pool degrades to a
-warm thread pool running the same pass into the parent's label list
-(no speedup under the GIL, but identical bytes and cheap dispatch).
+Workers are always processes: ``hashlib`` holds the GIL for inputs
+under 2048 bytes and every label input is shorter, so threads could
+never beat the serial pass.  The tree is cut :data:`CUT_DEPTH` branch
+levels below the root, and a worker that does not answer within
+:data:`REPLY_TIMEOUT` seconds counts as dead.
+
+Failure model: if a worker cannot be spawned, the workers already
+started are stopped and the constructor raises :class:`PoolBrokenError`
+naming the cause.  A worker death (OOM kill, SIGKILL, crash) surfaces
+as :class:`PoolBrokenError` on the next dispatch or reply.  The pool
+marks itself broken and the caller
+(:func:`repro.mtt.labeling.label_tree_with_workers`) falls back to a
+serial relabel from the same draw, so a commitment round never fails or
+produces a partially labeled tree; the recorder respawns a fresh pool
+on the next round.
 
 Determinism: randomness is drawn serially by the caller in the fixed
 CSPRNG order before any hashing, and every label is a pure function of
-its subtree, so pool, thread, serial, and fallback labeling are
-byte-identical per slot (property-tested in
-``tests/mtt/test_label_pool.py``).
+its subtree, so pool, serial, and fallback labeling are byte-identical
+per slot (property-tested in ``tests/mtt/test_label_pool.py``).
 """
 
 from __future__ import annotations
@@ -66,6 +71,13 @@ from ..obs.registry import get_registry
 from .labeling import label_slots, label_upper
 from .tree import FlatSchedule, Mtt, subtree_jobs, upper_slots
 
+#: Branch levels below the MTT root at which the tree is cut into
+#: per-worker subtree jobs.
+CUT_DEPTH = 4
+
+#: Seconds to wait for a worker's reply before declaring the pool broken.
+REPLY_TIMEOUT = 30.0
+
 #: Magic + version prefixing the static program block, so a worker that
 #: attaches to a stale or foreign segment fails loudly.
 _PROG_MAGIC = b"SPDRPOOL"
@@ -78,11 +90,12 @@ Job = Tuple[int, int, int, int]
 
 
 class PoolBrokenError(RuntimeError):
-    """A pool worker died or stopped responding; the pool is unusable.
+    """A pool worker could not be spawned, died, or stopped responding;
+    the pool is unusable.
 
-    Callers must fall back to serial labeling (the round's draw is
-    already in hand, so a serial relabel is always possible) and
-    discard the pool; the owning recorder spawns a fresh one lazily.
+    Mid-round, callers must fall back to serial labeling (the round's
+    draw is already in hand, so a serial relabel is always possible)
+    and discard the pool; the owning recorder spawns a fresh one lazily.
     """
 
 
@@ -91,7 +104,6 @@ class _Program:
     """One installed tree shape, cut into slot-block jobs."""
 
     schedule: FlatSchedule  # strong ref: identity key for the cache
-    cut_depth: int
     jobs: Tuple[Job, ...]
     #: Hash ops (bit + interior slots) per job, for balancing.
     costs: Tuple[int, ...]
@@ -99,9 +111,9 @@ class _Program:
     upper: Tuple[int, ...]
 
 
-def _build_program(schedule: FlatSchedule, cut_depth: int) -> _Program:
+def _build_program(schedule: FlatSchedule) -> _Program:
     kinds = schedule.slot_kinds
-    cut = subtree_jobs(schedule, cut_depth)
+    cut = subtree_jobs(schedule, CUT_DEPTH)
     # All leaves lie inside some job (only inner slots sit above the
     # cut), so each job's draws end where the next job's begin.
     ends = [first for _, _, first in cut[1:]] + [schedule.n_leaves]
@@ -112,8 +124,7 @@ def _build_program(schedule: FlatSchedule, cut_depth: int) -> _Program:
     # compared to the parent doing it.
     costs = tuple(hi - lo - kinds.count(0, lo, hi)
                   for lo, hi, _, _ in jobs)
-    return _Program(schedule=schedule, cut_depth=cut_depth, jobs=jobs,
-                    costs=costs,
+    return _Program(schedule=schedule, jobs=jobs, costs=costs,
                     upper=tuple(upper_slots(cut, schedule.n_slots)))
 
 
@@ -248,19 +259,13 @@ class LabelPool:
     of control messages per worker.
     """
 
-    def __init__(self, workers: int, prefer_processes: bool = True,
-                 timeout: float = 30.0):
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError("need at least one worker")
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
         self.workers = workers
-        self.timeout = timeout
         self.broken = False
-        self.mode = "thread"
         self._procs: List[Any] = []
         self._conns: List[Connection] = []
-        self._executor: Optional[Any] = None
         self._program: Optional[_Program] = None
         self._prog_shm: Optional[Any] = None
         self._label_shm: Optional[Any] = None
@@ -268,44 +273,44 @@ class LabelPool:
         self._closed = False
         self._obs = get_registry()
         start = time.perf_counter()
-        if prefer_processes:
-            self._try_spawn_processes()
-        if self.mode != "process":
-            from concurrent.futures import ThreadPoolExecutor
-            self._executor = ThreadPoolExecutor(max_workers=workers)
+        self._spawn()
         self.spinup_seconds = time.perf_counter() - start
-        self._obs.counter("mtt_pool_spinups_total", mode=self.mode).inc()
+        self._obs.counter("mtt_pool_spinups_total").inc()
         self._obs.histogram("mtt_pool_spinup_seconds").observe(
             self.spinup_seconds)
 
     # -- lifecycle -----------------------------------------------------
 
-    def _try_spawn_processes(self) -> None:
+    def _spawn(self) -> None:
+        """Fork the workers; on any failure stop those already started
+        and raise :class:`PoolBrokenError` naming the cause."""
+        import multiprocessing
         try:
-            import multiprocessing
-            from multiprocessing import shared_memory  # noqa: F401
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # platform without fork
-                context = multiprocessing.get_context()  # type: ignore[assignment]
-            procs: List[Any] = []
-            conns: List[Connection] = []
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # platform without fork
+            context = multiprocessing.get_context()  # type: ignore[assignment]
+        try:
             for _ in range(self.workers):
                 parent_end, child_end = context.Pipe()
-                proc = context.Process(target=_worker_main,
-                                       args=(child_end,), daemon=True)
-                proc.start()
-                child_end.close()
-                procs.append(proc)
-                conns.append(parent_end)
-        except (OSError, PermissionError, ImportError, ValueError):
-            return  # sandboxed/exotic platform: thread fallback
-        self._procs = procs
-        self._conns = conns
-        self.mode = "process"
+                self._conns.append(parent_end)
+                try:
+                    proc = context.Process(target=_worker_main,
+                                           args=(child_end,), daemon=True)
+                    proc.start()
+                finally:
+                    child_end.close()
+                self._procs.append(proc)
+        except Exception as exc:
+            for proc in self._procs:
+                proc.terminate()
+                proc.join()
+            for conn in self._conns:
+                conn.close()
+            raise PoolBrokenError(
+                f"pool spawn failed: {type(exc).__name__}: {exc}") from exc
 
     def worker_pids(self) -> List[int]:
-        """PIDs of live worker processes (empty in thread mode)."""
+        """PIDs of the worker processes."""
         return [proc.pid for proc in self._procs
                 if proc.pid is not None]
 
@@ -314,26 +319,23 @@ class LabelPool:
         if self._closed:
             return
         self._closed = True
-        if self.mode == "process":
-            for conn in self._conns:
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-            for conn in self._conns:
-                try:
-                    if conn.poll(1.0):
-                        conn.recv()
-                except (EOFError, OSError):
-                    pass
-                conn.close()
-            for proc in self._procs:
+        for conn in self._conns:
+            try:
+                conn.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+        for conn in self._conns:
+            try:
+                if conn.poll(1.0):
+                    conn.recv()
+            except (EOFError, OSError):
+                pass
+            conn.close()
+        for proc in self._procs:
+            proc.join(timeout=2.0)
+            if proc.is_alive():
+                proc.terminate()
                 proc.join(timeout=2.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
         self._release_shm()
 
     def _release_shm(self) -> None:
@@ -351,51 +353,46 @@ class LabelPool:
 
     def _mark_broken(self, reason: str) -> PoolBrokenError:
         self.broken = True
-        self._obs.counter("mtt_pool_failures_total",
-                          mode=self.mode).inc()
-        if self.mode == "process":
-            for proc in self._procs:
-                if proc.is_alive():
-                    proc.terminate()
+        self._obs.counter("mtt_pool_failures_total").inc()
+        for proc in self._procs:
+            if proc.is_alive():
+                proc.terminate()
         return PoolBrokenError(reason)
 
     # -- program install -----------------------------------------------
 
-    def _ensure_program(self, schedule: FlatSchedule,
-                        cut_depth: int) -> float:
+    def _ensure_program(self, schedule: FlatSchedule) -> float:
         """Install the shape's slot arrays; returns install time.
 
-        Keyed by schedule identity + cut depth: labeling the same tree
-        again (benchmark rounds, proof-generator reconstructions against
-        a cached tree) skips straight to dispatch.
+        Keyed by schedule identity: labeling the same tree again
+        (benchmark rounds, proof-generator reconstructions against a
+        cached tree) skips straight to dispatch.
         """
         program = self._program
-        if program is not None and program.schedule is schedule and \
-                program.cut_depth == cut_depth:
+        if program is not None and program.schedule is schedule:
             return 0.0
+        from multiprocessing import shared_memory
         start = time.perf_counter()
-        program = _build_program(schedule, cut_depth)
-        if self.mode == "process":
-            from multiprocessing import shared_memory
-            self._release_shm()
-            prog_blob = b"".join([
-                _PROG_MAGIC, _PROG_VERSION.to_bytes(4, "little"),
-                schedule.n_slots.to_bytes(4, "little"),
-                schedule.slot_kinds, schedule.slot_bits,
-                schedule.child_offsets.tobytes(),
-                schedule.child_slots.tobytes()])
-            prog_shm = shared_memory.SharedMemory(create=True,
-                                                  size=len(prog_blob))
-            prog_shm.buf[:len(prog_blob)] = prog_blob
-            label_shm = shared_memory.SharedMemory(
-                create=True, size=schedule.n_slots * DIGEST_SIZE)
-            rand_shm = shared_memory.SharedMemory(
-                create=True, size=schedule.n_leaves * DIGEST_SIZE)
-            self._prog_shm = prog_shm
-            self._label_shm = label_shm
-            self._rand_shm = rand_shm
-            self._roundtrip([("install", prog_shm.name, label_shm.name,
-                              rand_shm.name)] * len(self._conns))
+        program = _build_program(schedule)
+        self._release_shm()
+        prog_blob = b"".join([
+            _PROG_MAGIC, _PROG_VERSION.to_bytes(4, "little"),
+            schedule.n_slots.to_bytes(4, "little"),
+            schedule.slot_kinds, schedule.slot_bits,
+            schedule.child_offsets.tobytes(),
+            schedule.child_slots.tobytes()])
+        prog_shm = shared_memory.SharedMemory(create=True,
+                                              size=len(prog_blob))
+        prog_shm.buf[:len(prog_blob)] = prog_blob
+        label_shm = shared_memory.SharedMemory(
+            create=True, size=schedule.n_slots * DIGEST_SIZE)
+        rand_shm = shared_memory.SharedMemory(
+            create=True, size=schedule.n_leaves * DIGEST_SIZE)
+        self._prog_shm = prog_shm
+        self._label_shm = label_shm
+        self._rand_shm = rand_shm
+        self._roundtrip([("install", prog_shm.name, label_shm.name,
+                          rand_shm.name)] * len(self._conns))
         self._program = program
         seconds = time.perf_counter() - start
         self._obs.counter("mtt_pool_installs_total").inc()
@@ -415,10 +412,10 @@ class LabelPool:
             engaged.append(conn)
         for conn in engaged:
             try:
-                if not conn.poll(self.timeout):
+                if not conn.poll(REPLY_TIMEOUT):
                     raise self._mark_broken(
                         f"pool worker unresponsive after "
-                        f"{self.timeout}s")
+                        f"{REPLY_TIMEOUT}s")
                 reply = conn.recv()
             except (EOFError, OSError):
                 raise self._mark_broken("pool worker died") from None
@@ -443,8 +440,7 @@ class LabelPool:
 
     # -- the per-round entry point -------------------------------------
 
-    def label(self, tree: Mtt, cut_depth: int,
-              draws: List[bytes]) -> RoundResult:
+    def label(self, tree: Mtt, draws: List[bytes]) -> RoundResult:
         """Label ``tree`` from the round's ``draws`` on the warm pool.
 
         ``draws`` is the serial CSPRNG draw, one bitstring per leaf in
@@ -458,38 +454,23 @@ class LabelPool:
         if self.broken:
             raise PoolBrokenError("pool is broken")
         schedule = tree.schedule()
-        install_seconds = self._ensure_program(schedule, cut_depth)
+        install_seconds = self._ensure_program(schedule)
         program = self._program
         assert program is not None
         bins = self._assignments(program)
         size = DIGEST_SIZE
-        n_slots = schedule.n_slots
-        if self.mode == "process":
-            assert self._rand_shm is not None and \
-                self._label_shm is not None
-            # The round's entire randomness traffic: one join + memcpy.
-            rand_blob = b"".join(draws)
-            self._rand_shm.buf[:len(rand_blob)] = rand_blob
-            self._roundtrip([("run", jobs) for jobs in bins])
-            blob = bytes(self._label_shm.buf[:n_slots * size])
-            labels = [blob[i:i + size] for i in range(0, len(blob), size)]
-        else:
-            assert self._executor is not None
-            arrays = (schedule.slot_kinds, schedule.slot_bits,
-                      schedule.child_offsets, schedule.child_slots)
-            labels = [b""] * n_slots
-
-            def run_bin(jobs: List[Job]) -> None:
-                for lo, hi, first, _ in jobs:
-                    labels[lo:hi] = label_slots(*arrays, draws, lo, hi,
-                                                first)
-
-            list(self._executor.map(run_bin, bins))
+        assert self._rand_shm is not None and self._label_shm is not None
+        # The round's entire randomness traffic: one join + memcpy.
+        rand_blob = b"".join(draws)
+        self._rand_shm.buf[:len(rand_blob)] = rand_blob
+        self._roundtrip([("run", jobs) for jobs in bins])
+        blob = bytes(self._label_shm.buf[:schedule.n_slots * size])
+        labels = [blob[i:i + size] for i in range(0, len(blob), size)]
         # Merge: the inner slots above the cut, in-process.
         label_upper(schedule, labels, program.upper)
         tree.draws, tree.labels = draws, labels
-        self._obs.counter("mtt_pool_dispatches_total",
-                          mode=self.mode).inc(max(len(bins), 1))
+        self._obs.counter("mtt_pool_dispatches_total").inc(
+            max(len(bins), 1))
         return RoundResult(root_label=labels[-1], jobs=len(program.jobs),
                            dispatches=len(bins),
                            install_seconds=install_seconds)

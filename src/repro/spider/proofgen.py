@@ -122,8 +122,7 @@ class ProofGenerator:
             return self._cache[commit_time]
         self.cache_misses += 1
         reconstruction = self._reconstruct(commit_time)
-        capacity = getattr(self.recorder.config,
-                           "reconstruction_cache_size", 8)
+        capacity = self.recorder.config.reconstruction_cache_size
         if use_cache and capacity > 0:
             self._cache[commit_time] = reconstruction
             while len(self._cache) > capacity:
@@ -146,11 +145,8 @@ class ProofGenerator:
         # Reuses the recorder's warm labeling pool: reconstructions are
         # the same workload as live commitments (§6.5 replay), so they
         # share the same workers and shared-memory program.
-        report = label_tree_with_workers(
-            tree, Rc4Csprng(seed),
-            workers=recorder.config.commit_workers,
-            cut_depth=recorder.config.label_cut_depth,
-            pool=recorder.labeling_pool())
+        report = label_tree_with_workers(tree, Rc4Csprng(seed),
+                                         pool=recorder.labeling_pool())
         if not constant_time_eq(report.root_label,
                                 entry.payload["root"]):
             raise RuntimeError(

@@ -171,17 +171,17 @@ class Recorder:
         round and every proof-generator reconstruction.  A pool that
         broke (worker death mid-round) is discarded here and replaced,
         so one crashed worker costs exactly one serial-fallback round.
+        Raises :class:`~repro.mtt.pool.PoolBrokenError` if the workers
+        cannot be spawned.
         """
-        if self.config.commit_workers <= 1 or \
-                not self.config.label_pool_warm:
+        if self.config.commit_workers <= 1:
             return None
         pool = self._label_pool
         if pool is not None and pool.broken:
             pool.close()
             pool = None
         if pool is None:
-            pool = LabelPool(self.config.commit_workers,
-                             timeout=self.config.label_pool_timeout)
+            pool = LabelPool(self.config.commit_workers)
             self._label_pool = pool
         return pool
 
@@ -557,6 +557,7 @@ class Recorder:
                 f"previous one at t={self.commitments[-1].commit_time} "
                 "by at least one millisecond")
         self.flush_outbox()  # the commitment must cover queued messages
+        seed = self.commitment_seed(commit_time)
         with self._obs.span("commitment", self.clock,
                             node=f"as{self.asn}"):
             entries = self.mtt_entries(self.state)
@@ -566,14 +567,10 @@ class Recorder:
                 # fresh §6.5 reconstruction in the proof generator.
                 tree = Mtt.build(entries)
                 report = label_tree_with_workers(
-                    tree, Rc4Csprng(self.commitment_seed(commit_time)),
-                    workers=self.config.commit_workers,
-                    cut_depth=self.config.label_cut_depth,
-                    pool=self.labeling_pool())
+                    tree, Rc4Csprng(seed), pool=self.labeling_pool())
             with self.cpu.section("signatures"):
                 message = SpiderCommitment.make(self.signer, commit_time,
                                                 report.root_label)
-        seed = self.commitment_seed(commit_time)
         self._log_append(commit_time, EntryKind.COMMITMENT,
                          {"seed": seed, "root": report.root_label},
                          size_bytes=len(seed) + 12)

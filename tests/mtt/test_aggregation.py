@@ -9,7 +9,7 @@ from repro.crypto.rc4 import Rc4Csprng
 from repro.mtt.aggregation import aggregate_bits, \
     aggregation_candidates, aggregation_overhead, sibling, \
     with_aggregates
-from repro.mtt.labeling import label_tree
+from repro.mtt.labeling import label_tree_with_workers
 from repro.mtt.proofs import generate_proof, verify_proof
 from repro.mtt.tree import Mtt
 
@@ -95,7 +95,7 @@ class TestWithAggregates:
         other prefix."""
         entries = with_aggregates({P_LOW: (1, 0), P_HIGH: (1, 1)})
         tree = Mtt.build(entries)
-        report = label_tree(tree, Rc4Csprng(b"agg"))
+        report = label_tree_with_workers(tree, Rc4Csprng(b"agg"))
         proof = generate_proof(tree, PARENT, 0)
         assert verify_proof(report.root_label, proof, expected_k=2) == 1
         proof0 = generate_proof(tree, PARENT, 1)

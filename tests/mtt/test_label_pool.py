@@ -1,13 +1,14 @@
 """Tests for the shared-memory warm labeling pool (repro.mtt.pool).
 
 The pool's contract has three legs — determinism (byte-identical to
-serial labeling, per node, in every mode), warmth (workers and the
-installed program survive across rounds), and survivability (a dead
-worker costs one serial-fallback round, never a wrong or partial
-tree).  Each gets exercised here, plus the recorder-level lifecycle
-that owns the pool in a deployment.
+serial labeling, per node), warmth (workers and the installed program
+survive across rounds), and survivability (a dead worker costs one
+serial-fallback round, never a wrong or partial tree; a failed spawn
+leaves no worker behind).  Each gets exercised here, plus the
+recorder-level lifecycle that owns the pool in a deployment.
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -16,17 +17,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bgp.messages import Announce
 from repro.bgp.prefix import Prefix
+from repro.bgp.route import Route
 from repro.crypto.keys import KeyRegistry, make_identity
 from repro.crypto.rc4 import Rc4Csprng
-from repro.mtt.labeling import label_tree, label_tree_parallel
+from repro.mtt.labeling import label_tree_with_workers
 from repro.mtt.pool import LabelPool, PoolBrokenError
 from repro.mtt.tree import Mtt, subtree_jobs, upper_slots
 from repro.core.promise import total_order_promise
 from repro.netsim.events import Simulator
 from repro.spider.config import SpiderConfig
 from repro.spider.node import evaluation_scheme
+from repro.spider.proofgen import ProofGenerator
 from repro.spider.recorder import Recorder
+from repro.traces.workload import generate_prefixes
 
 
 def entries_grid(n, k):
@@ -37,7 +42,7 @@ def entries_grid(n, k):
 
 def serial_snapshot(tree, seed):
     """Serial-label the tree and capture (root, per-slot labels)."""
-    report = label_tree(tree, Rc4Csprng(seed))
+    report = label_tree_with_workers(tree, Rc4Csprng(seed))
     return report.root_label, node_labels(tree)
 
 
@@ -47,16 +52,13 @@ def node_labels(tree):
 
 @pytest.fixture(scope="module")
 def pools():
-    """Warm pools shared across tests; keyed by (workers, mode)."""
+    """Warm pools shared across tests; keyed by worker count."""
     cache = {}
 
-    def get(workers, prefer_processes=True):
-        key = (workers, prefer_processes)
-        if key not in cache or cache[key].broken:
-            cache[key] = LabelPool(workers,
-                                   prefer_processes=prefer_processes,
-                                   timeout=10.0)
-        return cache[key]
+    def get(workers):
+        if workers not in cache or cache[workers].broken:
+            cache[workers] = LabelPool(workers)
+        return cache[workers]
 
     yield get
     for pool in cache.values():
@@ -70,52 +72,76 @@ class TestWarmPool:
         root_b, _ = serial_snapshot(tree, b"round-b")
         pool = pools(2)
         pids = sorted(pool.worker_pids())
-        report_a = label_tree_parallel(tree, Rc4Csprng(b"round-a"),
-                                       workers=2, pool=pool)
-        report_b = label_tree_parallel(tree, Rc4Csprng(b"round-b"),
-                                       workers=2, pool=pool)
+        report_a = label_tree_with_workers(tree, Rc4Csprng(b"round-a"),
+                                           pool=pool)
+        report_b = label_tree_with_workers(tree, Rc4Csprng(b"round-b"),
+                                           pool=pool)
         assert report_a.root_label == root_a
         assert report_b.root_label == root_b
-        assert report_a.mode == pool.mode
+        assert report_a.mode == "process"
         # Warm: same workers served both rounds, and the second round
         # reused the installed program (no install cost).
         assert sorted(pool.worker_pids()) == pids
-        assert report_b.spinup_seconds == 0.0
+        assert report_b.install_seconds == 0.0
 
     def test_per_node_labels_match_serial(self, pools):
         tree = Mtt.build(entries_grid(16, 4))
         _, expected = serial_snapshot(tree, b"per-node")
         pool = pools(2)
         tree.labels = None
-        label_tree_parallel(tree, Rc4Csprng(b"per-node"), workers=2,
-                            pool=pool)
+        label_tree_with_workers(tree, Rc4Csprng(b"per-node"), pool=pool)
         assert node_labels(tree) == expected
+
+    def test_dispatch_is_per_worker_not_per_job(self, pools):
+        tree = Mtt.build(entries_grid(32, 4))
+        label_tree_with_workers(tree, Rc4Csprng(b"dispatch"))  # draws
+        pool = pools(2)
+        result = pool.label(tree, tree.draws)
+        # Many subtree jobs, but at most one dispatch per worker: a
+        # dispatch per subtree would cost more than the hashing.
+        assert result.jobs > pool.workers
+        assert 0 < result.dispatches <= pool.workers
 
     def test_shape_change_reinstalls_program(self, pools):
         pool = pools(2)
         for n in (8, 20):
             tree = Mtt.build(entries_grid(n, 3))
             root, _ = serial_snapshot(tree, b"reinstall")
-            report = label_tree_parallel(tree, Rc4Csprng(b"reinstall"),
-                                         workers=2, pool=pool)
+            report = label_tree_with_workers(
+                tree, Rc4Csprng(b"reinstall"), pool=pool)
             assert report.root_label == root
 
     def test_closed_pool_raises(self):
-        pool = LabelPool(2, timeout=10.0)
+        pool = LabelPool(2)
         pool.close()
         tree = Mtt.build(entries_grid(4, 2))
-        label_tree(tree, Rc4Csprng(b"closed"))  # draws the randomness
+        # draws the randomness
+        label_tree_with_workers(tree, Rc4Csprng(b"closed"))
         with pytest.raises(PoolBrokenError):
-            pool.label(tree, 2, tree.draws)
+            pool.label(tree, tree.draws)
         pool.close()  # idempotent
 
-    def test_ephemeral_pool_counts_spinup(self):
-        tree = Mtt.build(entries_grid(8, 3))
-        root, _ = serial_snapshot(tree, b"ephemeral")
-        report = label_tree_parallel(tree, Rc4Csprng(b"ephemeral"),
-                                     workers=2)
-        assert report.root_label == root
-        assert report.spinup_seconds > 0.0
+    def test_partial_spawn_failure_stops_started_workers(
+            self, monkeypatch):
+        process = multiprocessing.get_context("fork").Process
+        real_start = process.start
+        started = []
+
+        def start(proc):
+            if started:
+                raise OSError("no more processes")
+            real_start(proc)
+            started.append(proc)
+
+        before = {p.pid for p in multiprocessing.active_children()}
+        monkeypatch.setattr(process, "start", start)
+        with pytest.raises(PoolBrokenError, match="no more processes"):
+            LabelPool(3)
+        assert len(started) == 1
+        assert not started[0].is_alive()
+        assert started[0].exitcode is not None
+        assert {p.pid for p in multiprocessing.active_children()} == \
+            before
 
 
 class TestWorkerDeathRecovery:
@@ -123,15 +149,11 @@ class TestWorkerDeathRecovery:
     round with byte-identical output, and marks the pool broken."""
 
     def test_sigkill_mid_deployment_falls_back_serially(self):
-        pool = LabelPool(2, timeout=10.0)
-        if pool.mode != "process":
-            pool.close()
-            pytest.skip("no subprocess support on this platform")
+        pool = LabelPool(2)
         tree = Mtt.build(entries_grid(20, 4))
         root, expected = serial_snapshot(tree, b"killed")
         # Warm the pool, then kill a worker the way an OOM-killer would.
-        label_tree_parallel(tree, Rc4Csprng(b"warmup"), workers=2,
-                            pool=pool)
+        label_tree_with_workers(tree, Rc4Csprng(b"warmup"), pool=pool)
         victim = pool.worker_pids()[0]
         os.kill(victim, signal.SIGKILL)
         deadline = time.time() + 5.0
@@ -141,8 +163,8 @@ class TestWorkerDeathRecovery:
             except ProcessLookupError:
                 break
             time.sleep(0.01)
-        report = label_tree_parallel(tree, Rc4Csprng(b"killed"),
-                                     workers=2, pool=pool)
+        report = label_tree_with_workers(tree, Rc4Csprng(b"killed"),
+                                         pool=pool)
         assert report.mode == "serial-fallback"
         assert report.root_label == root
         assert node_labels(tree) == expected
@@ -150,52 +172,16 @@ class TestWorkerDeathRecovery:
         pool.close()
 
     def test_die_command_breaks_pool(self):
-        pool = LabelPool(1, timeout=5.0)
-        if pool.mode != "process":
-            pool.close()
-            pytest.skip("no subprocess support on this platform")
+        pool = LabelPool(1)
         tree = Mtt.build(entries_grid(6, 2))
-        label_tree(tree, Rc4Csprng(b"die"))  # draws the randomness
-        pool.label(tree, 2, tree.draws)  # install + one good round
+        # draws the randomness
+        label_tree_with_workers(tree, Rc4Csprng(b"die"))
+        pool.label(tree, tree.draws)  # install + one good round
         pool._conns[0].send(("die",))
         with pytest.raises(PoolBrokenError):
-            pool.label(tree, 2, tree.draws)
+            pool.label(tree, tree.draws)
         assert pool.broken
         pool.close()
-
-
-class TestThreadFallback:
-    """Satellite: the degraded thread path must dispatch whole bins to
-    a warm executor (not per-subtree tasks) and stay byte-identical."""
-
-    def test_thread_mode_matches_serial_per_node(self, pools):
-        tree = Mtt.build(entries_grid(16, 4))
-        _, expected = serial_snapshot(tree, b"threads")
-        pool = pools(2, prefer_processes=False)
-        assert pool.mode == "thread"
-        report = label_tree_parallel(tree, Rc4Csprng(b"threads"),
-                                     workers=2, pool=pool)
-        assert report.mode == "thread"
-        assert node_labels(tree) == expected
-
-    def test_thread_dispatch_is_per_worker_not_per_job(self, pools):
-        tree = Mtt.build(entries_grid(32, 4))
-        label_tree(tree, Rc4Csprng(b"dispatch"))  # draws the randomness
-        pool = pools(2, prefer_processes=False)
-        result = pool.label(tree, 4, tree.draws)
-        # Many subtree jobs, but at most one dispatch per worker: the
-        # dispatch-per-subtree overhead was the thread path's
-        # regression.
-        assert result.jobs > pool.workers
-        assert 0 < result.dispatches <= pool.workers
-
-    def test_prefer_processes_false_without_pool(self):
-        tree = Mtt.build(entries_grid(8, 3))
-        root, _ = serial_snapshot(tree, b"adhoc-thread")
-        report = label_tree_parallel(tree, Rc4Csprng(b"adhoc-thread"),
-                                     workers=2, prefer_processes=False)
-        assert report.mode == "thread"
-        assert report.root_label == root
 
 
 class TestRecorderLifecycle:
@@ -225,12 +211,6 @@ class TestRecorderLifecycle:
         assert recorder.labeling_pool() is None
         recorder.close()
 
-    def test_warm_pool_disabled_by_config(self):
-        recorder = self.make_recorder(commit_workers=2,
-                                      label_pool_warm=False)
-        assert recorder.labeling_pool() is None
-        recorder.close()
-
     def test_pool_survives_across_commitment_rounds(self):
         recorder = self.make_recorder(commit_workers=2)
         pool = recorder.labeling_pool()
@@ -243,6 +223,45 @@ class TestRecorderLifecycle:
         assert record_a.root and record_b.root
         assert recorder.labeling_pool() is pool  # warm, not respawned
         recorder.close()
+
+    def test_pooled_recorder_matches_serial_recorder(self):
+        # Same identity and master seed: commitments, §6.5
+        # reconstructions and signed proofs must not depend on the pool.
+        recorders = [self.make_recorder(commit_workers=w) for w in (1, 2)]
+        for recorder in recorders:
+            for i, prefix in enumerate(generate_prefixes(60, seed=5)):
+                # Paths of 1-4 hops put the offers in different classes,
+                # so the consumer is due 0-proofs for the classes above.
+                path = tuple(range(64500, 64501 + i % 4))
+                recorder.mirror_sent_update(Announce(
+                    sender=self.ELECTOR, receiver=self.CONSUMER,
+                    route=Route(prefix, (self.ELECTOR,) + path,
+                                neighbor=64500)))
+        pool = recorders[1].labeling_pool()
+        for _ in range(2):
+            roots = [r.make_commitment().root for r in recorders]
+            assert roots[0] == roots[1]
+            for recorder in recorders:
+                recorder.clock.advance_to(recorder.clock.now + 60.0)
+        for record in recorders[1].commitments:
+            proof_sets = []
+            for recorder in recorders:
+                generator = ProofGenerator(recorder)
+                reconstruction = generator.reconstruct(record.commit_time)
+                assert reconstruction.root == record.root
+                proof_sets.append(generator.proofs_for(
+                    reconstruction, self.CONSUMER).all_proofs())
+            serial_proofs, pooled_proofs = proof_sets
+            assert pooled_proofs
+            assert [p.proof.encode() for p in pooled_proofs] == \
+                [p.proof.encode() for p in serial_proofs]
+            assert [p.envelope for p in pooled_proofs] == \
+                [p.envelope for p in serial_proofs]
+        # Every round and reconstruction ran on the one warm pool: a
+        # serial fallback would have replaced it.
+        assert recorders[1].labeling_pool() is pool
+        for recorder in recorders:
+            recorder.close()
 
     def test_broken_pool_is_replaced_next_round(self):
         recorder = self.make_recorder(commit_workers=2)
@@ -279,24 +298,23 @@ def random_entries(draw):
 
 
 class TestPoolDeterminismProperty:
-    """Satellite: serial, shared-memory pool, and thread fallback agree
-    byte for byte — roots AND per-node labels — over random tree
-    shapes, cut depths, and worker counts."""
+    """Satellite: serial and shared-memory pool labeling agree byte for
+    byte — roots AND per-node labels — over random tree shapes and
+    worker counts, at the pool's fixed cut; the subtree partition holds
+    at every cut depth."""
 
     @settings(max_examples=20, deadline=None)
-    @given(random_entries(), st.integers(0, 5), st.integers(2, 4),
+    @given(random_entries(), st.integers(2, 4),
            st.binary(min_size=1, max_size=8))
-    def test_all_modes_byte_identical(self, pools, entries, cut_depth,
-                                      workers, seed):
+    def test_all_modes_byte_identical(self, pools, entries, workers,
+                                      seed):
         tree = Mtt.build(entries)
         root, expected = serial_snapshot(tree, seed)
-        for prefer_processes in (True, False):
-            pool = pools(workers, prefer_processes)
-            report = label_tree_parallel(
-                tree, Rc4Csprng(seed), workers=workers,
-                cut_depth=cut_depth, pool=pool)
-            assert report.root_label == root, (pool.mode, cut_depth)
-            assert node_labels(tree) == expected, (pool.mode, cut_depth)
+        report = label_tree_with_workers(tree, Rc4Csprng(seed),
+                                         pool=pools(workers))
+        assert report.mode == "process"
+        assert report.root_label == root
+        assert node_labels(tree) == expected
 
     @settings(max_examples=10, deadline=None)
     @given(random_entries(), st.integers(0, 4))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from repro.bgp.prefix import Prefix
 from repro.crypto.rc4 import Rc4Csprng
 from repro.mtt.labeling import assign_randomness, compute_label, \
-    label_tree, label_tree_parallel, label_tree_with_workers, \
-    parallel_labeling_report
+    label_tree_with_workers, parallel_labeling_report
+from repro.mtt.pool import LabelPool
 from repro.mtt.proofs import LabelDigestCache, MttBitProof, PathStep, \
     ProofError, generate_proof, verify_proof
 from repro.mtt.tree import Mtt
@@ -16,7 +16,7 @@ from repro.mtt.tree import Mtt
 
 def build_labeled(entries, seed=b"seed"):
     tree = Mtt.build(entries)
-    report = label_tree(tree, Rc4Csprng(seed))
+    report = label_tree_with_workers(tree, Rc4Csprng(seed))
     return tree, report
 
 
@@ -82,7 +82,7 @@ class TestParallelLabeling:
     def test_same_root_as_sequential(self):
         entries = self.make_wide_entries()
         tree1 = Mtt.build(entries)
-        seq = label_tree(tree1, Rc4Csprng(b"s"))
+        seq = label_tree_with_workers(tree1, Rc4Csprng(b"s"))
         tree2 = Mtt.build(entries)
         par = parallel_labeling_report(tree2, Rc4Csprng(b"s"), workers=3)
         assert par.root_label == seq.root_label
@@ -123,12 +123,12 @@ class TestGoldenRoots:
 
     def test_basic_anchor(self):
         tree = Mtt.build(BASIC)
-        report = label_tree(tree, Rc4Csprng(b"golden-seed"))
+        report = label_tree_with_workers(tree, Rc4Csprng(b"golden-seed"))
         assert report.root_label.hex() == self.GOLDEN_BASIC
 
     def test_wide_anchor(self):
         tree = Mtt.build(self.wide_entries())
-        report = label_tree(tree, Rc4Csprng(b"golden-wide"))
+        report = label_tree_with_workers(tree, Rc4Csprng(b"golden-wide"))
         assert report.root_label.hex() == self.GOLDEN_WIDE
 
     def test_generic_traversal_matches_anchor(self):
@@ -140,7 +140,7 @@ class TestGoldenRoots:
 
 
 class TestRealPool:
-    """Process, thread, serial, and reference labeling must all produce
+    """Process-pool, serial, and reference labeling must all produce
     byte-identical roots from the same seed."""
 
     def wide_tree(self):
@@ -148,53 +148,47 @@ class TestRealPool:
         entries = {p: [1, 0, 1] for p in generate_prefixes(150, seed=3)}
         return Mtt.build(entries)
 
-    def test_process_pool_matches_serial(self):
+    @pytest.fixture(scope="class")
+    def pool(self):
+        pool = LabelPool(3)
+        yield pool
+        pool.close()
+
+    def test_process_pool_matches_serial(self, pool):
         tree = self.wide_tree()
-        serial = label_tree(tree, Rc4Csprng(b"pool"))
+        serial = label_tree_with_workers(tree, Rc4Csprng(b"pool"))
         tree2 = self.wide_tree()
-        par = label_tree_parallel(tree2, Rc4Csprng(b"pool"), workers=3,
-                                  cut_depth=3)
+        par = label_tree_with_workers(tree2, Rc4Csprng(b"pool"), pool=pool)
         assert par.root_label == serial.root_label
         assert par.jobs > 1
-        assert par.mode in ("process", "thread")  # thread = fallback
-
-    def test_thread_pool_matches_serial(self):
-        tree = self.wide_tree()
-        serial = label_tree(tree, Rc4Csprng(b"pool"))
-        tree2 = self.wide_tree()
-        par = label_tree_parallel(tree2, Rc4Csprng(b"pool"), workers=3,
-                                  cut_depth=3, prefer_processes=False)
-        assert par.root_label == serial.root_label
-        assert par.mode == "thread"
+        assert par.mode == "process"
 
     def test_single_worker_uses_serial_path(self):
         tree = self.wide_tree()
-        par = label_tree_parallel(tree, Rc4Csprng(b"pool"), workers=1)
+        par = label_tree_with_workers(tree, Rc4Csprng(b"pool"))
         assert par.mode == "serial"
         assert par.jobs == 1
 
-    def test_pool_labels_support_proofs(self):
-        # Labels must land on the nodes so proof generation works the
+    def test_pool_labels_support_proofs(self, pool):
+        # Labels must land on the tree so proof generation works the
         # same regardless of labeling mode.
         tree = self.wide_tree()
-        par = label_tree_parallel(tree, Rc4Csprng(b"pool"), workers=2,
-                                  cut_depth=3)
+        par = label_tree_with_workers(tree, Rc4Csprng(b"pool"), pool=pool)
         prefix = tree.prefixes[0]
         proof = generate_proof(tree, prefix, 0)
         assert verify_proof(par.root_label, proof, expected_k=3) == 1
 
-    def test_dispatch_helper(self):
+    def test_dispatch_helper(self, pool):
         tree = self.wide_tree()
         serial = label_tree_with_workers(tree, Rc4Csprng(b"pool"))
-        tree2 = self.wide_tree()
-        pooled = label_tree_with_workers(tree2, Rc4Csprng(b"pool"),
-                                         workers=2, cut_depth=3)
+        pooled = label_tree_with_workers(tree, Rc4Csprng(b"pool"),
+                                         pool=pool)
         assert serial.root_label == pooled.root_label
+        assert serial.hash_count == pooled.hash_count
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            label_tree_parallel(Mtt.build(BASIC), Rc4Csprng(b"s"),
-                                workers=0)
+            LabelPool(0)
 
 
 class TestLabelDigestCache:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.bgp.prefix import Prefix
 from repro.crypto.hashing import DIGEST_SIZE
 from repro.crypto.rc4 import Rc4Csprng
-from repro.mtt.labeling import label_tree
+from repro.mtt.labeling import label_tree_with_workers
 from repro.mtt.proofs import generate_proof
 from repro.mtt.tree import Mtt
 
@@ -29,7 +29,7 @@ TARGET = Prefix.parse("128.0.0.0/2")
 
 def labeled_tree(entries, seed):
     tree = Mtt.build(entries)
-    report = label_tree(tree, Rc4Csprng(seed))
+    report = label_tree_with_workers(tree, Rc4Csprng(seed))
     return tree, report
 
 

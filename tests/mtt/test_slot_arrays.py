@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.bgp.prefix import Prefix
 from repro.crypto.rc4 import Rc4Csprng
 from repro.mtt.labeling import assign_randomness, compute_label, \
-    label_tree, label_tree_parallel
+    label_tree_with_workers
 from repro.mtt.nodes import EDGE_END, InnerNode, PrefixNode, \
     validate_structure
 from repro.mtt.pool import LabelPool
@@ -72,22 +72,21 @@ def node_view_proof(root, prefix, class_index):
 
 
 @pytest.fixture(scope="module")
-def pools():
-    process = LabelPool(2, timeout=10.0)
-    thread = LabelPool(2, prefer_processes=False)
-    yield process, thread
-    process.close()
-    thread.close()
+def pool():
+    pool = LabelPool(2)
+    yield pool
+    pool.close()
 
 
 class TestAgainstNodeView:
     @settings(max_examples=40, deadline=None)
     @given(prefix_sets(), st.binary(min_size=1, max_size=8))
-    def test_labels_pool_modes_and_proofs(self, pools, entries, seed):
+    def test_labels_pool_modes_and_proofs(self, pool, entries,
+                                          seed):
         tree = Mtt.build(entries)
         k = len(next(iter(entries.values()))) if entries else 1
         assert tree.census() == predict_census(entries, k)
-        report = label_tree(tree, Rc4Csprng(seed))
+        report = label_tree_with_workers(tree, Rc4Csprng(seed))
         labels = list(tree.labels)
 
         # Root and every slot label equal the node-view reference.
@@ -98,16 +97,11 @@ class TestAgainstNodeView:
         assert compute_label(root) == report.root_label
         assert [node.label for node in nodes] == labels
 
-        # Serial, process-pool and thread-pool labels per slot.
-        for pool in pools:
-            for cut_depth in (0, 2, 5):
-                tree.labels = None
-                pooled = label_tree_parallel(tree, Rc4Csprng(seed),
-                                             workers=2,
-                                             cut_depth=cut_depth,
-                                             pool=pool)
-                assert pooled.root_label == report.root_label
-                assert tree.labels == labels, (pool.mode, cut_depth)
+        # Serial and process-pool labels per slot.
+        tree.labels = None
+        pooled = label_tree_with_workers(tree, Rc4Csprng(seed), pool=pool)
+        assert pooled.root_label == report.root_label
+        assert tree.labels == labels
 
         # Every proof verifies and encodes like the node-view proof.
         for prefix, bits in entries.items():

@@ -6,7 +6,7 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.crypto.keys import KeyRegistry, make_identity
 from repro.crypto.signatures import Signer
-from repro.mtt.labeling import label_tree
+from repro.mtt.labeling import label_tree_with_workers
 from repro.mtt.proofs import generate_proof
 from repro.mtt.tree import Mtt
 from repro.crypto.rc4 import Rc4Csprng
@@ -147,7 +147,7 @@ class TestCommitmentAndProofMessages:
 
     def test_bit_proof_roundtrip(self, registry, alice):
         tree = Mtt.build({P: [1, 0]})
-        label_tree(tree, Rc4Csprng(b"s"))
+        label_tree_with_workers(tree, Rc4Csprng(b"s"))
         proof = generate_proof(tree, P, 0)
         msg = SpiderBitProof.make(Signer(alice), recipient=12,
                                   commit_time=60.0, proof=proof)
@@ -156,7 +156,7 @@ class TestCommitmentAndProofMessages:
     def test_bit_proof_recipient_bound(self, registry, alice):
         import dataclasses
         tree = Mtt.build({P: [1, 0]})
-        label_tree(tree, Rc4Csprng(b"s"))
+        label_tree_with_workers(tree, Rc4Csprng(b"s"))
         proof = generate_proof(tree, P, 0)
         msg = SpiderBitProof.make(Signer(alice), 12, 60.0, proof)
         forged = dataclasses.replace(msg, recipient=13)

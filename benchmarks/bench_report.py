@@ -7,13 +7,13 @@ Measures what a commitment round costs the recorder and writes
   MTT from the prefix entries, draw the randomness, label — from
   scratch every round, with a fresh seed (§5.3), split into build,
   labeling (draw + hash) and the hash pass alone;
-* the shared-memory worker pool at c ∈ {1, 2, 4, 8}
+* the warm worker pool at c ∈ {1, 2, 4, 8}
   (:class:`repro.mtt.pool.LabelPool` via
   :func:`repro.mtt.labeling.label_tree_with_workers`): the from-scratch
-  round (which re-installs the new shape every round, as the recorder
-  does), the hash phase on an installed shape, and the one-time
-  spin-up; on a box with few cores the pool cannot beat serial —
-  ``cores`` is recorded so the numbers can be interpreted;
+  round (a new tree every round, as the recorder does), the hash phase
+  on a pre-built tree, and the one-time worker spawn; on a box with
+  few cores the pool cannot beat serial — ``cores`` is recorded so the
+  numbers can be interpreted;
 * a ``trajectory`` block (seed → first pool → warm pool → node-object
   round → current, measured on the bench box of the time) so the
   commitment-round story is diffable at a glance;
@@ -29,7 +29,7 @@ hash phase at 4 workers is slower than the serial hash pass in the
 same run — a same-box comparison, so it is machine-independent.  The
 verdict also reports, without gating on it, the from-scratch round at
 4 workers over the serial round: the pool's cost on the recorder's
-path, which re-installs a new shape every round.  Quick mode writes no
+path, which builds a new tree every round.  Quick mode writes no
 files.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_report.py``.
@@ -96,6 +96,25 @@ TRAJECTORY_HISTORY = {
                 "plus a cold FlatSchedule (same workload, 2-vCPU box, "
                 "median of 3 x 5 rounds)",
     },
+    "shm_pool": {
+        "serial_round_seconds": 0.4745,
+        "pool_round_seconds": {"2": 0.4476, "4": 0.4516, "8": 0.4519},
+        "pool_steady_hash_seconds": {"2": 0.0951, "4": 0.1093,
+                                     "8": 0.106},
+        "note": "array-native MTT, pool installs each shape into three "
+                "shared-memory blocks; hash phase relabels the installed "
+                "shape (2-vCPU box, mean of 2 runs alternating with "
+                "pipe_pool)",
+    },
+    "pipe_pool": {
+        "serial_round_seconds": 0.4699,
+        "pool_round_seconds": {"2": 0.4483, "4": 0.4455, "8": 0.4591},
+        "pool_steady_hash_seconds": {"2": 0.1066, "4": 0.1063,
+                                     "8": 0.1111},
+        "note": "slot arrays, jobs and draws sent over each worker's "
+                "pipe every round, no shared memory (same box and runs "
+                "as shm_pool)",
+    },
 }
 
 
@@ -143,8 +162,8 @@ def measure_serial(entries: dict, rounds: int) -> dict:
 
 
 def measure_pool(entries: dict, widths, rounds: int) -> dict:
-    """Per width: the from-scratch round, the hash phase on an
-    installed shape, and the one-time spin-up.
+    """Per width: the from-scratch round, the hash phase on a
+    pre-built tree, and the one-time worker spawn.
 
     Every width labels with the same seed once ("bench-pool") so the
     byte-identical-roots criterion is checked *in the benchmark*, not
@@ -173,15 +192,14 @@ def measure_pool(entries: dict, widths, rounds: int) -> dict:
                 draws = Rc4Csprng(b"bench-hash").bitstrings(
                     tree.schedule().n_leaves)
                 start = time.perf_counter()
-                pool.label(tree, draws)  # this shape is installed
+                pool.label(tree, draws)  # tree built and drawn already
                 hash_seconds.append(time.perf_counter() - start)
             out[str(width)] = {
                 "round_seconds": round(min(round_seconds), 4),
                 "steady_hash_seconds": round(min(hash_seconds), 4),
-                # one-time: worker spawn + first shape install
+                # one-time: worker spawn
                 "spinup_seconds": round(
-                    (pool.spinup_seconds if pool else 0.0)
-                    + first.install_seconds, 4),
+                    pool.spinup_seconds if pool else 0.0, 4),
                 "mode": first.mode,
                 "jobs": first.jobs,
                 "root_matches_serial": first.root_label == golden,
@@ -222,8 +240,7 @@ def check_against(report: dict, path: str) -> int:
     * ``pool4_round_ratio`` (reported, never gates) — the from-scratch
       round at 4 workers over the serial round.  The recorder builds a
       new tree every round, so this is what the pool costs on its path
-      (the pool guard's installed shape is a path the recorder never
-      takes).
+      (the pool guard times the hash phase alone).
     """
     with open(path) as handle:
         committed = json.load(handle)
@@ -330,8 +347,8 @@ def main() -> None:
                     key: value["steady_hash_seconds"]
                     for key, value in report["pool"].items()
                     if isinstance(value, dict)},
-                "note": "array-native MTT: build + draw + label from "
-                        "scratch each round, no node objects",
+                "note": "array-native MTT, pipe-fed pool: build + "
+                        "draw + label from scratch each round",
             })
         if not args.quick:
             report["proofgen_cache_hit_rate"] = round(

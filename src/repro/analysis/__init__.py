@@ -11,7 +11,7 @@ codebase.
 Two engines share one finding/suppression/baseline pipeline:
 
 * the **lint** engine (:class:`repro.analysis.engine.Engine`) runs the
-  per-file AST/CFG rules SPDR001–005 and SPDR007
+  per-file AST rules SPDR001–005
   (:func:`repro.analysis.rules.all_rules`);
 * the **dataflow** engine
   (:func:`repro.analysis.taint.analyze_paths_dataflow`) builds a

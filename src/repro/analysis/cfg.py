@@ -4,7 +4,7 @@ A :class:`Cfg` decomposes one function body into basic blocks of
 *simple* statements connected by directed edges.  Compound statements
 are not stored whole: an ``if`` contributes its test to the block that
 ends with it, and its branches become separate block chains.  The
-solver in :mod:`repro.analysis.dataflow` only ever sees straight-line
+taint solver in :mod:`repro.analysis.taint` only ever sees straight-line
 statement runs plus an edge relation, which keeps transfer functions
 trivial.
 
@@ -14,9 +14,7 @@ inherits them):
 * Exception edges are coarse: each block created inside a ``try`` body
   gets an edge to every handler, as does the block preceding the
   ``try``.  This over-approximates which statements can raise, which is
-  the safe direction for both taint (more paths → more flows seen) and
-  resource-leak checks (more paths → more places a release is
-  demanded).
+  the safe direction for taint (more paths → more flows seen).
 * ``finally`` bodies are sequenced after the protected region and its
   handlers; early exits (``return``/``break``) jump to the function
   exit directly rather than detouring through ``finally``.

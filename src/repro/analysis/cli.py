@@ -16,8 +16,8 @@ Usage patterns::
 Exit status: 0 when no (non-baselined) findings and no parse errors,
 1 when findings remain, 2 for usage/baseline errors.
 
-The ``lint`` engine runs the per-file AST/CFG rules (SPDR001–005,
-SPDR007); the ``dataflow`` engine runs the whole-program privacy-taint
+The ``lint`` engine runs the per-file AST rules (SPDR001–005); the
+``dataflow`` engine runs the whole-program privacy-taint
 rules (SPDR006, SPDR008), whose findings print an indented source→sink
 path trace.  ``--cache-dir`` (default ``.spiderlint-cache``) memoizes
 the parsed program keyed on a source-tree digest so repeated dataflow
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: src)")
     parser.add_argument("--engine", choices=("lint", "dataflow", "all"),
                         default="lint",
-                        help="lint = per-file AST/CFG rules; dataflow = "
+                        help="lint = per-file AST rules; dataflow = "
                              "whole-program privacy taint (SPDR006/008)")
     parser.add_argument("--baseline", metavar="FILE", default=None,
                         help="subtract findings recorded in this "

@@ -14,10 +14,6 @@ SPDR004    Obs naming: metric/span names written to the ``repro.obs``
            registry must be literals declared in ``repro.obs.names``.
 SPDR005    Wire-dataclass discipline: message dataclasses in wire
            modules declare ``frozen=True, slots=True``.
-SPDR007    Shared-memory discipline: every ``shared_memory`` block is
-           released on all paths, no ``buf`` access after ``close()``,
-           and ``Process`` targets are fork/spawn-safe module-level
-           functions.  (CFG-based, per file.)
 =========  ============================================================
 
 SPDR006 (privacy flow) and SPDR008 (exception hygiene) are
@@ -34,7 +30,6 @@ from .determinism import DeterminismRule
 from .crypto_hygiene import CryptoHygieneRule
 from .decoders import DecoderDisciplineRule
 from .obs_names import ObsNamingRule
-from .shared_memory import SharedMemoryRule
 from .wire_dataclasses import WireDataclassRule
 
 
@@ -46,7 +41,6 @@ def all_rules() -> List[Rule]:
         DecoderDisciplineRule(),
         ObsNamingRule(),
         WireDataclassRule(),
-        SharedMemoryRule(),
     ]
     return sorted(rules, key=lambda rule: rule.rule_id)
 
@@ -56,7 +50,6 @@ __all__ = [
     "CryptoHygieneRule",
     "DecoderDisciplineRule",
     "ObsNamingRule",
-    "SharedMemoryRule",
     "WireDataclassRule",
     "all_rules",
 ]

@@ -15,8 +15,8 @@ stitches functions together with call summaries:
   reported when they reach a sink contract that is not explicitly
   sanctioned for that label.
 
-The analysis is flow-sensitive within a function (CFG + worklist,
-see :mod:`repro.analysis.dataflow`-style joins done inline here) and
+The analysis is flow-sensitive within a function (CFG + worklist
+with the joins done inline here) and
 summary-based across functions, iterated to a global fixpoint.  Object
 attributes are handled pragmatically: ``self.x`` is tracked as a local
 key within one function, attribute reads inherit the receiver object's

@@ -234,11 +234,11 @@ class LabelingResult:
     #: baseline :meth:`speedup` divides by (same run, same CPU speed).
     model_sequential: Dict[int, float] = field(default_factory=dict)
     #: workers → measured wall-clock of a real pool run — draw plus
-    #: hash phase, spawn/install split into ``pool_spinup_seconds``
+    #: hash phase, worker spawn split into ``pool_spinup_seconds``
     #: (only populated when ``pool_workers`` was requested; one worker
     #: means the serial pass).
     pool_seconds: Dict[int, float] = field(default_factory=dict)
-    #: workers → one-time pool spawn + program install cost.
+    #: workers → one-time pool spawn cost.
     pool_spinup_seconds: Dict[int, float] = field(default_factory=dict)
 
     def speedup(self, workers: int) -> float:
@@ -291,8 +291,8 @@ def labeling_experiment(n_prefixes: int = 2000, k: int = 50,
         if run.root_label != flat.root_label:
             raise RuntimeError("pool labeling diverged from serial")
         pool_seconds[c] = run.seconds
-        pool_spinup_seconds[c] = run.install_seconds + (
-            pool.spinup_seconds if pool is not None else 0.0)
+        pool_spinup_seconds[c] = (pool.spinup_seconds
+                                  if pool is not None else 0.0)
     return LabelingResult(n_prefixes=n_prefixes, k=k,
                           sequential_seconds=sequential_seconds,
                           flat_seconds=flat.seconds,

@@ -20,8 +20,8 @@ The paper's prototype labels subtrees on ``c`` commitment threads
 (Section 7.1).  :func:`label_tree_with_workers`, the one labeling entry
 point, reproduces this for real when handed a
 :class:`~repro.mtt.pool.LabelPool`, a warm pool of worker processes
-that run :func:`label_slots` over contiguous subtree slot blocks in
-shared memory; without a pool it is the serial pass.  Because the
+that run :func:`label_slots` over contiguous subtree slot blocks sent
+over their pipes; without a pool it is the serial pass.  Because the
 randomness is drawn serially up front and every label is a pure
 function of its subtree, serial, pool, and failure-fallback labeling
 produce byte-identical labels on every slot from the same seed
@@ -159,8 +159,7 @@ class LabelingReport:
     """Result of one labeling call.
 
     ``seconds`` is the randomness draw plus the hash phase (on the pool:
-    dispatch, hashing, merge, copy-out); installing a new tree shape
-    into the pool's shared memory is reported as ``install_seconds``.
+    dispatch, hashing in the workers, replies, merge).
     ``mode`` is ``"serial"``, ``"process"``, or ``"serial-fallback"``
     (the pool broke mid-round and the same draw was relabeled serially).
     """
@@ -170,7 +169,6 @@ class LabelingReport:
     hash_count: int
     mode: str
     jobs: int
-    install_seconds: float
 
 
 def label_tree_with_workers(tree: Mtt, csprng: Rc4Csprng,
@@ -183,8 +181,8 @@ def label_tree_with_workers(tree: Mtt, csprng: Rc4Csprng,
     :class:`~repro.mtt.pool.LabelPool` (the recorder owns one,
     ``SpiderConfig.commit_workers`` wide) the draw is still serial, and
     the tree is cut into independent subtrees a few branch levels below
-    the root; each worker labels whole subtree slot blocks in shared
-    memory and the (small) remainder above the cut is merged
+    the root; each worker labels whole subtree slot blocks sent over
+    its pipe and the (small) remainder above the cut is merged
     in-process, exactly as the paper splits "the MTT into subtrees that
     are each labeled completely by one of the threads" (§7.1).  Either
     way the full label list lands on the tree, so proof generation is
@@ -201,14 +199,13 @@ def label_tree_with_workers(tree: Mtt, csprng: Rc4Csprng,
     hashes = _hash_count(shape.counts)
     start = time.perf_counter()
     draws = csprng.bitstrings(shape.n_leaves)
-    mode, jobs, install_seconds = "serial", 1, 0.0
+    mode, jobs = "serial", 1
     root_label: Optional[bytes] = None
     if pool is not None:
         try:
             result = pool.label(tree, draws)
             root_label, mode, jobs = result.root_label, "process", \
                 result.jobs
-            install_seconds = result.install_seconds
         except PoolBrokenError:
             # Worker death must never corrupt a commitment round: one
             # serial pass over the same draw restores exactly the
@@ -216,12 +213,11 @@ def label_tree_with_workers(tree: Mtt, csprng: Rc4Csprng,
             mode = "serial-fallback"
     if root_label is None:
         root_label = _label_serial(tree, draws)
-    seconds = time.perf_counter() - start - install_seconds
+    seconds = time.perf_counter() - start
     _observe_labeling(mode, seconds, hashes, jobs=jobs,
                       workers=pool.workers if pool is not None else 1)
     return LabelingReport(root_label=root_label, seconds=seconds,
-                          hash_count=hashes, mode=mode, jobs=jobs,
-                          install_seconds=install_seconds)
+                          hash_count=hashes, mode=mode, jobs=jobs)
 
 
 # ----------------------------------------------------------------------

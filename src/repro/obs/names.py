@@ -35,7 +35,6 @@ MTT_POOL_JOBS = "mtt_pool_jobs"
 MTT_POOL_UTILIZATION = "mtt_pool_utilization"
 MTT_POOL_SPINUPS_TOTAL = "mtt_pool_spinups_total"
 MTT_POOL_SPINUP_SECONDS = "mtt_pool_spinup_seconds"
-MTT_POOL_INSTALLS_TOTAL = "mtt_pool_installs_total"
 MTT_POOL_DISPATCHES_TOTAL = "mtt_pool_dispatches_total"
 MTT_POOL_OCCUPANCY = "mtt_pool_occupancy"
 MTT_POOL_FAILURES_TOTAL = "mtt_pool_failures_total"

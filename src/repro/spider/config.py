@@ -19,7 +19,7 @@ class SpiderConfig:
     * ``checkpoint_interval`` — how often a full routing snapshot is
       logged (the paper estimates one per day);
     * ``commit_workers`` — the paper's ``c`` commitment threads (§7.1):
-      when > 1, MTT subtrees are labeled on one warm shared-memory
+      when > 1, MTT subtrees are labeled on one warm
       :class:`~repro.mtt.pool.LabelPool` of this many worker processes,
       spawned lazily on the first commitment and shut down by
       ``Recorder.close()``;

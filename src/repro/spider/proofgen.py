@@ -144,7 +144,7 @@ class ProofGenerator:
 
         # Reuses the recorder's warm labeling pool: reconstructions are
         # the same workload as live commitments (§6.5 replay), so they
-        # share the same workers and shared-memory program.
+        # share the same workers.
         report = label_tree_with_workers(tree, Rc4Csprng(seed),
                                          pool=recorder.labeling_pool())
         if not constant_time_eq(report.root_label,

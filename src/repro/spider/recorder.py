@@ -150,8 +150,8 @@ class Recorder:
         self.sent_hooks: List[Callable[[object], None]] = []
         self.ack_hooks: List[Callable[[SpiderAck], None]] = []
         self.receive_hooks: List[Callable[[object], None]] = []
-        #: The warm shared-memory labeling pool (spawned lazily on the
-        #: first multi-worker commitment, reused across rounds; see
+        #: The warm labeling pool (spawned lazily on the first
+        #: multi-worker commitment, reused across rounds; see
         #: repro.mtt.pool).  ``close()`` shuts it down.
         self._label_pool: Optional[LabelPool] = None
         if recovered_entries is not None:

@@ -19,8 +19,7 @@ from repro.analysis.cli import main
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
 REPO = HERE.parents[1]
-LINT_RULES = ("SPDR001", "SPDR002", "SPDR003", "SPDR004", "SPDR005",
-              "SPDR007")
+LINT_RULES = ("SPDR001", "SPDR002", "SPDR003", "SPDR004", "SPDR005")
 FLOW_RULES = ("SPDR006", "SPDR008")
 
 

@@ -30,7 +30,6 @@ CASES = {
     "SPDR003": (7, 1),  # unguarded subscripts, naked struct.unpack
     "SPDR004": (5, 1),  # invented/computed obs metric names
     "SPDR005": (4, 1),  # wire dataclasses missing frozen/slots
-    "SPDR007": (4, 1),  # shm leak, use-after-close, unsafe targets
 }
 
 RULE_IDS = sorted(CASES)

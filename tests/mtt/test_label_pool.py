@@ -1,11 +1,12 @@
-"""Tests for the shared-memory warm labeling pool (repro.mtt.pool).
+"""Tests for the warm labeling pool (repro.mtt.pool).
 
 The pool's contract has three legs — determinism (byte-identical to
-serial labeling, per node), warmth (workers and the installed program
-survive across rounds), and survivability (a dead worker costs one
+serial labeling, per node), warmth (the same workers serve every
+round), and survivability (a dead, hung or failing worker costs one
 serial-fallback round, never a wrong or partial tree; a failed spawn
-leaves no worker behind).  Each gets exercised here, plus the
-recorder-level lifecycle that owns the pool in a deployment.
+leaves no worker behind, and no worker outlives ``close()``).  Each
+gets exercised here, plus the recorder-level lifecycle that owns the
+pool in a deployment.
 """
 
 import multiprocessing
@@ -22,6 +23,7 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.crypto.keys import KeyRegistry, make_identity
 from repro.crypto.rc4 import Rc4Csprng
+from repro.mtt import pool as pool_module
 from repro.mtt.labeling import label_tree_with_workers
 from repro.mtt.pool import LabelPool, PoolBrokenError
 from repro.mtt.tree import Mtt, subtree_jobs, upper_slots
@@ -48,6 +50,15 @@ def serial_snapshot(tree, seed):
 
 def node_labels(tree):
     return list(tree.labels)
+
+
+def is_running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 @pytest.fixture(scope="module")
@@ -79,10 +90,8 @@ class TestWarmPool:
         assert report_a.root_label == root_a
         assert report_b.root_label == root_b
         assert report_a.mode == "process"
-        # Warm: same workers served both rounds, and the second round
-        # reused the installed program (no install cost).
+        # Warm: same workers served both rounds.
         assert sorted(pool.worker_pids()) == pids
-        assert report_b.install_seconds == 0.0
 
     def test_per_node_labels_match_serial(self, pools):
         tree = Mtt.build(entries_grid(16, 4))
@@ -102,13 +111,13 @@ class TestWarmPool:
         assert result.jobs > pool.workers
         assert 0 < result.dispatches <= pool.workers
 
-    def test_shape_change_reinstalls_program(self, pools):
+    def test_successive_shapes_match_serial(self, pools):
         pool = pools(2)
         for n in (8, 20):
             tree = Mtt.build(entries_grid(n, 3))
-            root, _ = serial_snapshot(tree, b"reinstall")
+            root, _ = serial_snapshot(tree, b"reshape")
             report = label_tree_with_workers(
-                tree, Rc4Csprng(b"reinstall"), pool=pool)
+                tree, Rc4Csprng(b"reshape"), pool=pool)
             assert report.root_label == root
 
     def test_closed_pool_raises(self):
@@ -157,11 +166,7 @@ class TestWorkerDeathRecovery:
         victim = pool.worker_pids()[0]
         os.kill(victim, signal.SIGKILL)
         deadline = time.time() + 5.0
-        while time.time() < deadline:
-            try:
-                os.kill(victim, 0)
-            except ProcessLookupError:
-                break
+        while time.time() < deadline and is_running(victim):
             time.sleep(0.01)
         report = label_tree_with_workers(tree, Rc4Csprng(b"killed"),
                                          pool=pool)
@@ -176,12 +181,89 @@ class TestWorkerDeathRecovery:
         tree = Mtt.build(entries_grid(6, 2))
         # draws the randomness
         label_tree_with_workers(tree, Rc4Csprng(b"die"))
-        pool.label(tree, tree.draws)  # install + one good round
+        pool.label(tree, tree.draws)  # one good round
         pool._conns[0].send(("die",))
         with pytest.raises(PoolBrokenError):
             pool.label(tree, tree.draws)
         assert pool.broken
         pool.close()
+
+    def test_worker_error_reply_breaks_pool(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("labeling exploded")
+
+        # Patched before the fork, so the workers inherit it; the
+        # serial fallback uses repro.mtt.labeling's own label_slots.
+        monkeypatch.setattr(pool_module, "label_slots", fail)
+        tree = Mtt.build(entries_grid(12, 3))
+        root, expected = serial_snapshot(tree, b"worker-error")
+        pools = [LabelPool(2), LabelPool(2)]
+        try:
+            with pytest.raises(PoolBrokenError,
+                               match="pool worker error"):
+                pools[0].label(tree, tree.draws)
+            assert pools[0].broken
+            report = label_tree_with_workers(
+                tree, Rc4Csprng(b"worker-error"), pool=pools[1])
+            assert report.mode == "serial-fallback"
+            assert report.root_label == root
+            assert node_labels(tree) == expected
+            assert pools[1].broken
+        finally:
+            for pool in pools:
+                pool.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs procfs")
+class TestHungWorker:
+    """A stopped worker ignores SIGTERM; the pool must still fall back
+    within REPLY_TIMEOUT and must not leave the worker running after
+    ``close()`` (multiprocessing's exit-time join would block forever
+    on it).  The victim is SIGKILLed in a ``finally`` so a failure
+    cannot hang the suite."""
+
+    def test_stopped_worker_falls_back_and_dies_on_close(
+            self, monkeypatch):
+        monkeypatch.setattr(pool_module, "REPLY_TIMEOUT", 0.5)
+        # Big enough that one worker's run message overflows its pipe,
+        # so sending to the stopped worker blocks as well.
+        tree = Mtt.build({p: [1] * 50
+                          for p in generate_prefixes(1000, seed=3)})
+        root, expected = serial_snapshot(tree, b"hung")
+        pool = LabelPool(2)
+        pids = pool.worker_pids()
+        victim = pids[0]
+        try:
+            os.kill(victim, signal.SIGSTOP)
+            report = label_tree_with_workers(tree, Rc4Csprng(b"hung"),
+                                             pool=pool)
+            assert report.mode == "serial-fallback"
+            assert report.root_label == root
+            assert node_labels(tree) == expected
+            assert pool.broken
+            pool.close()
+            assert not [pid for pid in pids if is_running(pid)]
+        finally:
+            try:
+                os.kill(victim, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            pool.close()
+
+    def test_close_kills_a_stopped_worker(self):
+        pool = LabelPool(2)
+        pids = pool.worker_pids()
+        victim = pids[0]
+        try:
+            os.kill(victim, signal.SIGSTOP)
+            pool.close()
+            assert not [pid for pid in pids if is_running(pid)]
+        finally:
+            try:
+                os.kill(victim, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 class TestRecorderLifecycle:
@@ -298,10 +380,9 @@ def random_entries(draw):
 
 
 class TestPoolDeterminismProperty:
-    """Satellite: serial and shared-memory pool labeling agree byte for
-    byte — roots AND per-node labels — over random tree shapes and
-    worker counts, at the pool's fixed cut; the subtree partition holds
-    at every cut depth."""
+    """Serial and pool labeling agree byte for byte — roots AND
+    per-node labels — over random tree shapes and worker counts, at the
+    pool's fixed cut; the subtree partition holds at every cut depth."""
 
     @settings(max_examples=20, deadline=None)
     @given(random_entries(), st.integers(2, 4),

@@ -6,60 +6,76 @@ AS (missing bit proof), the wrongly exported route by the downstream AS
 (1-proof for the null route), and the tampered bit proof by the
 downstream AS (proof/commitment mismatch); the clean run reports no
 broken promises.
+
+Each fault is a pinned campaign spec (``SEC74_SPECS``).  ``run_spec``
+runs it through a faulty world and through its honest control world —
+the paper's clean run, and for the wrongful export the honest export
+filter — and checks the differential oracle on both.
 """
 
 import pytest
 
 from repro.core.verdict import FaultKind
-from repro.faults.scenarios import ALL_SCENARIOS
+from repro.faults.adversaries import SEC74_SPECS, adversary_for
+from repro.faults.campaign import run_spec
+from repro.faults.oracle import detectors
 from repro.harness.reporting import render_table
+
+#: attack → (the paper's detector, its SPIDeR detectors and kinds).
+PAPER = {
+    "route-drop": ("upstream AS 7: no bit proof for its route",
+                   {7: {FaultKind.MISSING_PROOF}}),
+    "wrongful-export": ("downstream ASes 7, 8: 1-proof for ⊥ above "
+                        "their route",
+                        {7: {FaultKind.BROKEN_PROMISE},
+                         8: {FaultKind.BROKEN_PROMISE}}),
+    "proof-tamper": ("downstream AS 8: proof/commitment mismatch",
+                     {8: {FaultKind.INVALID_PROOF}}),
+    "equivocation": ("(beyond the paper) AS 8 on receipt, plus a PoM "
+                     "from the VERIFY cross-check",
+                     {8: {FaultKind.EQUIVOCATION}}),
+}
+
+
+def _run(spec):
+    return run_spec(adversary_for(spec.attack), spec)
 
 
 @pytest.fixture(scope="module")
-def results():
-    return {name: fn() for name, fn in ALL_SCENARIOS.items()}
+def runs():
+    return {spec.attack: _run(spec) for spec in SEC74_SPECS}
 
 
-EXPECTATIONS = [
-    # (scenario, should_detect, paper's detector description)
-    ("clean-baseline", False, "no broken promises reported"),
-    ("overaggressive-filter", True, "upstream AS: no bit proof for its "
-                                    "route"),
-    ("wrongly-exporting", True, "downstream AS: 1-proof for ⊥ above its "
-                                "route"),
-    ("tampered-bit-proof", True, "downstream AS: proof/commitment "
-                                 "mismatch"),
-    ("wrongly-exporting-fixed", False, "(honest counterpart)"),
-    ("equivocating-commitments", True, "INVALIDCOMMIT cross-check"),
-]
+def _detectors(result):
+    return ", ".join(
+        f"AS{asn}:{'/'.join(sorted(k.value for k in kinds))}"
+        for asn, kinds in sorted(detectors(result.spider).items())) \
+        or "-"
 
 
-def test_functionality_matrix(benchmark, results, emit):
-    benchmark.pedantic(ALL_SCENARIOS["clean-baseline"], rounds=1,
+def test_functionality_matrix(benchmark, runs, emit):
+    benchmark.pedantic(_run, args=(SEC74_SPECS[0],), rounds=1,
                        iterations=1)
     rows = []
-    for name, expected, description in EXPECTATIONS:
-        result = results[name]
-        detectors = ", ".join(
-            f"AS{asn}:{'/'.join(sorted(k.value for k in kinds))}"
-            for asn, kinds in sorted(result.detectors.items())) or "-"
-        rows.append((name, "yes" if expected else "no",
-                     "yes" if result.detected else "no", detectors))
+    for spec in SEC74_SPECS:
+        run = runs[spec.attack]
+        rows.append((spec.attack, PAPER[spec.attack][0],
+                     _detectors(run.faulty), _detectors(run.control),
+                     run.faulty.extras.get("equivocation_poms", "-"),
+                     "ok" if run.ok else "; ".join(run.problems)))
     emit(render_table(
-        "§7.4 functionality check",
-        ["scenario", "paper detects", "measured", "detectors"], rows))
-    for name, expected, _ in EXPECTATIONS:
-        assert results[name].detected == expected, name
+        "§7.4 functionality check (faults at AS 5)",
+        ["attack", "paper's detector", "faulty world", "control world",
+         "PoMs", "oracle"], rows))
+    for spec in SEC74_SPECS:
+        run = runs[spec.attack]
+        assert run.ok, (spec.attack, run.problems)
+        assert not run.control.spider and not run.control.netreview, \
+            spec.attack
 
 
-def test_detector_identities_match_paper(benchmark, results):
+def test_detector_identities_match_paper(benchmark, runs):
     benchmark(lambda: None)
-    # Fault 1: the upstream AS (the producer of the filtered route).
-    assert 7 in results["overaggressive-filter"].detectors
-    # Fault 2: downstream ASes.
-    assert set(results["wrongly-exporting"].detectors) & {7, 8}
-    assert all(FaultKind.BROKEN_PROMISE in kinds for kinds in
-               results["wrongly-exporting"].detectors.values())
-    # Fault 3: the downstream AS that got the tampered proof.
-    assert FaultKind.INVALID_PROOF in \
-        results["tampered-bit-proof"].detectors[8]
+    for attack, (_, paper) in PAPER.items():
+        assert detectors(runs[attack].faulty.spider) == paper, attack
+    assert runs["equivocation"].faulty.extras["equivocation_poms"] >= 1

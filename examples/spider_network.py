@@ -31,8 +31,9 @@ from repro.harness.experiments import proof_experiment, \
     run_replay_experiment
 from repro.harness.reporting import format_bytes, format_rate, \
     render_table
-from repro.faults.scenarios import overaggressive_filter
-from repro.netsim.topology import FOCUS_AS
+from repro.faults.adversaries import SEC74_SPECS, adversary_for
+from repro.faults.campaign import run_spec
+from repro.faults.oracle import detectors
 
 
 def run_sim():
@@ -80,11 +81,12 @@ def run_sim():
           f"{proofs.single_prefix_seconds * 1000:.1f} ms")
 
     print("\nInjecting the §7.4 over-aggressive-filter fault at AS 5...")
-    result = overaggressive_filter()
-    for asn, kinds in sorted(result.detectors.items()):
+    spec = SEC74_SPECS[0]  # route-drop: the over-aggressive filter
+    run = run_spec(adversary_for(spec.attack), spec)
+    for asn, kinds in sorted(detectors(run.faulty.spider).items()):
         names = ", ".join(sorted(k.value for k in kinds))
         print(f"  detected by AS{asn}: {names}")
-    assert result.detected
+    assert run.ok, run.problems
 
 
 def print_summary(summary):

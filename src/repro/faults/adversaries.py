@@ -33,7 +33,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, \
-    Sequence, Set, Tuple
+    Sequence, Set, Tuple, Type
 
 from ..bgp.policy import Relation
 from ..bgp.prefix import Prefix
@@ -46,7 +46,7 @@ from ..netreview import auditor as netreview_auditor
 from ..netreview.auditor import AuditReport
 from ..netreview.node import NetReviewDeployment, NetReviewRecorder
 from ..netsim.network import Network, TraceEvent
-from ..netsim.topology import Topology
+from ..netsim.topology import FOCUS_AS, Topology
 from ..spider import node as spider_node
 from ..spider.checkpoint import elector_view
 from ..spider.extended import run_extended_verification
@@ -61,8 +61,21 @@ from .injector import AckWithholdingNetReviewRecorder, \
     install_import_filter, shorten_as_path, tamper_log_entry, \
     tamper_proof_set
 from .oracle import SystemExpectation
-from .scenarios import FEED_ASN, FILLER_PREFIX, GOOD_PREFIX, \
-    SECRET_ORIGIN, SECRET_PREFIX, selective_export_scheme_for_spider
+
+#: The external (RouteViews-style) feed attached at the injection AS.
+FEED_ASN = 65000
+
+#: Origin AS whose routes are 'not for export' (§7.4 fault 2).
+SECRET_ORIGIN = 6666
+
+#: Workload prefix originated at the first stub (AS 9).
+GOOD_PREFIX = Prefix.parse("203.0.113.0/24")
+
+#: The not-for-export prefix, originated behind :data:`SECRET_ORIGIN`.
+SECRET_PREFIX = Prefix.parse("198.51.100.0/24")
+
+#: Workload prefix carried in by the feed trace.
+FILLER_PREFIX = Prefix.parse("192.0.2.0/24")
 
 #: Additional workload prefix originated at the second stub (AS 10).
 TEN_PREFIX = Prefix.parse("203.0.114.0/24")
@@ -83,6 +96,18 @@ def standard_workload(network: Network) -> None:
     network.originate(9, GOOD_PREFIX)
     network.originate(10, TEN_PREFIX)
     network.settle()
+
+
+def selective_export_scheme_for_spider() -> ClassScheme:
+    """A path-based never-export scheme usable across the whole AS graph:
+    routes originated by :data:`SECRET_ORIGIN` must not be exported."""
+    def classify(route: RouteOrNull) -> int:
+        if route is NULL_ROUTE:
+            return 1
+        return 0 if route.traverses(SECRET_ORIGIN) else 2
+    return ClassScheme(
+        labels=("not-for-export", "no-route", "exportable"),
+        classify_fn=classify)
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +148,21 @@ class AttackSpec:
             "activate_time": self.activate_time,
             "intensity": self.intensity,
         }
+
+
+#: The paper's §7.4 functionality check, pinned at AS 5 of Figure 5:
+#: the over-aggressive filter drops AS 7's route, the wrongful export
+#: leaks the not-for-export route, the bit proof sent to AS 8 is
+#: tampered, and (beyond the paper) AS 8 is sent a second root.
+SEC74_SPECS: Tuple[AttackSpec, ...] = (
+    AttackSpec(attack="route-drop", position=FOCUS_AS, victims=(7,),
+               prefix=str(GOOD_PREFIX)),
+    AttackSpec(attack="wrongful-export", position=FOCUS_AS,
+               prefix=str(SECRET_PREFIX)),
+    AttackSpec(attack="proof-tamper", position=FOCUS_AS, victims=(8,),
+               prefix=str(GOOD_PREFIX)),
+    AttackSpec(attack="equivocation", position=FOCUS_AS, victims=(8,)),
+)
 
 
 @dataclass
@@ -845,7 +885,8 @@ class ProofTamperAdversary(Adversary):
     """The faulty AS doctors the evidence itself: a bit proof sent to
     one neighbor is re-signed with the bit flipped (§7.4 fault 3), and
     the log handed to NetReview auditors is edited in place.  The Merkle
-    arithmetic exposes the former; the §6.5 hash chain the latter."""
+    arithmetic exposes the former; the §6.5 hash chain the latter.
+    ``victims[0]`` is the neighbor whose proof set is tampered."""
 
     name = "proof-tamper"
 
@@ -854,52 +895,35 @@ class ProofTamperAdversary(Adversary):
         candidates: List[Tuple[int, int, Prefix]] = []
         for position in sorted(probe.speakers):
             speaker = probe.speaker(position)
-            for producer in sorted(speaker.neighbors):
-                if producer not in probe.speakers:
+            for neighbor in sorted(speaker.neighbors):
+                if neighbor not in probe.speakers:
                     continue
                 for prefix in WORKLOAD_PREFIXES:
-                    if probe.speaker(producer).advertised_to(
+                    if probe.speaker(neighbor).advertised_to(
                             position, prefix) is not None:
-                        candidates.append((position, producer, prefix))
+                        candidates.append((position, neighbor, prefix))
         if not candidates:
             return None
-        position, producer, prefix = candidates[
+        position, neighbor, prefix = candidates[
             rng.randint(0, len(candidates) - 1)]
         return AttackSpec(attack=self.name, position=position,
-                          victims=(producer,), prefix=str(prefix))
+                          victims=(neighbor,), prefix=str(prefix))
 
     def detect(self, world: World, spec: AttackSpec) -> DetectResult:
         result = DetectResult()
-        world.spider.commit_now(spec.position)
+        commit_time = world.spider.commit_now(spec.position).commit_time
         world.netreview.recorders[spec.position].make_commitment()
         world.network.settle()
         elector_node = world.spider.nodes[spec.position]
-        commit_time = elector_node.recorder.commitments[-1].commit_time
         reconstruction = elector_node.proofgen.reconstruct(commit_time)
         for neighbor in participant_neighbors(world, spec.position):
-            node = world.spider.nodes[neighbor]
             proofs = elector_node.proofgen.proofs_for(reconstruction,
                                                       neighbor)
             if world.faulty and neighbor == spec.victims[0]:
                 proofs = tamper_proof_set(elector_node.recorder.signer,
                                           proofs, spec.prefix_value)
-            commitment = node.commitment_from(spec.position,
-                                              commit_time)
-            if commitment is None:
-                commitment = \
-                    elector_node.recorder.commitments[-1].message
-            view = node.view_at(commit_time)
-            report = node.checker.check(
-                commitment, proofs,
-                my_exports_to_elector=view.exports.get(
-                    spec.position, {}),
-                my_imports_from_elector=view.imports.get(
-                    spec.position, {}),
-                promise=elector_node.recorder.promises.get(neighbor),
-                elector_scheme=elector_node.recorder.scheme)
-            result.outcomes.append(VerificationOutcome(
-                elector=spec.position, neighbor=neighbor,
-                commit_time=commit_time, proofs=proofs, report=report))
+            result.outcomes.append(world.spider.check_proofs(
+                spec.position, neighbor, commit_time, proofs))
         result.spider.extend(
             spider_node.detection_records(result.outcomes))
         result.spider.extend(world.spider.sweep_overdue_acks())
@@ -1065,7 +1089,7 @@ class CollusionAdversary(Adversary):
 
 
 #: Every attack class, in the fixed order campaigns cycle through.
-ATTACK_CLASSES: Tuple[Callable[[], Adversary], ...] = (
+ATTACK_CLASSES: Tuple[Type[Adversary], ...] = (
     RouteDropAdversary,
     WrongfulExportAdversary,
     RouteLeakAdversary,
@@ -1075,3 +1099,8 @@ ATTACK_CLASSES: Tuple[Callable[[], Adversary], ...] = (
     ProofTamperAdversary,
     CollusionAdversary,
 )
+
+
+def adversary_for(attack: str) -> Adversary:
+    """The attack class named ``attack`` (an :attr:`AttackSpec.attack`)."""
+    return {cls.name: cls for cls in ATTACK_CLASSES}[attack]()

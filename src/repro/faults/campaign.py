@@ -18,6 +18,10 @@ A *campaign* is one randomized-but-reproducible attack instance:
    no detection and no alarm, and that SPIDeR's proofs reveal no
    third-party prefixes where NetReview disclosed the full log.
 
+Steps 3 and 4 are :func:`run_spec`, which also runs pinned specs such as
+the paper's §7.4 matrix,
+:data:`~repro.faults.adversaries.SEC74_SPECS`.
+
 Run it from the command line::
 
     python -m repro.faults.campaign --seed 0 --campaigns 20
@@ -32,6 +36,7 @@ import argparse
 import json
 import random
 import time
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..crypto.hashing import digest
@@ -43,11 +48,10 @@ from ..spider.config import SpiderConfig
 from ..spider.node import SpiderDeployment
 from ..netreview.node import NetReviewDeployment
 from ..core.verdict import DetectionRecord
-from .adversaries import ATTACK_CLASSES, Adversary, \
-    AttackSpec, World
+from .adversaries import ATTACK_CLASSES, FEED_ASN, Adversary, \
+    AttackSpec, DetectResult, World
 from .oracle import PrivacyReport, check_clean, check_detections, \
     check_privacy
-from .scenarios import FEED_ASN
 
 #: The simulation config every campaign world runs under.
 _CONFIG = SpiderConfig(commit_interval=60.0)
@@ -133,46 +137,44 @@ def _by_system(records: List[DetectionRecord], system: str
 
 
 # ----------------------------------------------------------------------
-# One campaign
+# One spec, one campaign
 
 
-def run_campaign(seed: int, index: int) -> Dict[str, object]:
-    """Run campaign ``index`` of a sweep seeded with ``seed``.
+@dataclass
+class SpecRun:
+    """One spec run through the faulty world, the control world and the
+    differential oracle."""
 
-    Returns a JSON-ready result entry; ``entry["ok"]`` is True iff the
-    differential oracle found no problem.  Identical ``(seed, index)``
-    always produce an identical entry.
-    """
+    faulty: DetectResult
+    control: DetectResult
+    privacy: Optional[PrivacyReport]
+    problems: List[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
+    def to_json(self) -> Dict[str, object]:
+        return {
+            "spider_detections": _records_json(self.faulty.spider),
+            "netreview_detections": _records_json(self.faulty.netreview),
+            "discarded": _records_json(self.faulty.discarded),
+            "privacy": self.privacy.to_json()
+            if self.privacy is not None else None,
+            "extras": dict(sorted(self.faulty.extras.items())),
+            "problems": self.problems,
+            "ok": self.ok,
+        }
+
+
+def run_spec(adversary: Adversary, spec: AttackSpec) -> SpecRun:
+    """Run ``spec`` through a faulty and a control world and check the
+    differential oracle.  Identical specs always give identical runs."""
     registry = get_registry()
     started = time.perf_counter()
-    rng = random.Random(f"{seed}:{index}")
-    adversary = ATTACK_CLASSES[index % len(ATTACK_CLASSES)]()
     registry.counter(names.CAMPAIGN_RUNS_TOTAL,
                      attack=adversary.name).inc()
-
     problems: List[str] = []
-    entry: Dict[str, object] = {
-        "index": index,
-        "seed": seed,
-        "attack": adversary.name,
-    }
-
-    probe = build_probe(adversary)
-    spec = adversary.sample(probe, rng)
-    if spec is None:
-        problems.append(f"{adversary.name}: no realizable attack "
-                        "position in the probe network")
-        entry.update({"spec": None, "schedule_digest": "",
-                      "problems": problems, "ok": False})
-        return entry
-
-    workload_events = adversary.workload_events(spec)
-    entry["spec"] = spec.to_json()
-    entry["workload_events"] = workload_events
-    entry["schedule_digest"] = _schedule_digest({
-        "seed": seed, "index": index, "attack": adversary.name,
-        "spec": spec.to_json(), "workload_events": workload_events,
-    })
 
     # --- Faulty world -------------------------------------------------
     faulty_world = build_world(adversary, spec, faulty=True)
@@ -238,16 +240,41 @@ def run_campaign(seed: int, index: int) -> Dict[str, object]:
     registry.histogram(names.CAMPAIGN_SECONDS,
                        attack=adversary.name).observe(
         time.perf_counter() - started)
+    return SpecRun(faulty=faulty, control=control, privacy=privacy,
+                   problems=problems)
 
-    entry.update({
-        "spider_detections": _records_json(faulty.spider),
-        "netreview_detections": _records_json(faulty.netreview),
-        "discarded": _records_json(faulty.discarded),
-        "privacy": privacy.to_json() if privacy is not None else None,
-        "extras": dict(sorted(faulty.extras.items())),
-        "problems": problems,
-        "ok": not problems,
+
+def run_campaign(seed: int, index: int) -> Dict[str, object]:
+    """Run campaign ``index`` of a sweep seeded with ``seed``.
+
+    Returns a JSON-ready result entry; ``entry["ok"]`` is True iff the
+    differential oracle found no problem.  Identical ``(seed, index)``
+    always produce an identical entry.
+    """
+    rng = random.Random(f"{seed}:{index}")
+    adversary = ATTACK_CLASSES[index % len(ATTACK_CLASSES)]()
+    entry: Dict[str, object] = {
+        "index": index,
+        "seed": seed,
+        "attack": adversary.name,
+    }
+    spec = adversary.sample(build_probe(adversary), rng)
+    if spec is None:
+        entry.update({"spec": None, "schedule_digest": "",
+                      "problems": [f"{adversary.name}: no realizable "
+                                   "attack position in the probe "
+                                   "network"],
+                      "ok": False})
+        return entry
+
+    workload_events = adversary.workload_events(spec)
+    entry["spec"] = spec.to_json()
+    entry["workload_events"] = workload_events
+    entry["schedule_digest"] = _schedule_digest({
+        "seed": seed, "index": index, "attack": adversary.name,
+        "spec": spec.to_json(), "workload_events": workload_events,
     })
+    entry.update(run_spec(adversary, spec).to_json())
     return entry
 
 

@@ -58,6 +58,15 @@ class SystemExpectation:
         return frozenset(kinds)
 
 
+def detectors(records: Iterable[DetectionRecord]
+              ) -> Dict[int, Set[FaultKind]]:
+    """Each detector AS and the fault kinds it raised."""
+    by_detector: Dict[int, Set[FaultKind]] = {}
+    for record in records:
+        by_detector.setdefault(record.detector, set()).add(record.kind)
+    return by_detector
+
+
 def check_detections(system: str, records: Iterable[DetectionRecord],
                      expectation: SystemExpectation,
                      accused: int) -> List[str]:
@@ -72,13 +81,12 @@ def check_detections(system: str, records: Iterable[DetectionRecord],
                 "nothing for this attack class")
         return problems
 
-    by_detector: Dict[int, Set[FaultKind]] = {}
     for record in records:
         if record.accused != accused:
             problems.append(
                 f"{system}: AS{record.detector} accused "
                 f"AS{record.accused}, expected AS{accused}")
-        by_detector.setdefault(record.detector, set()).add(record.kind)
+    by_detector = detectors(records)
 
     for detector in sorted(expectation.must_detect):
         allowed = expectation.must_detect[detector]

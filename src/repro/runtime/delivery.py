@@ -10,7 +10,7 @@ exhausted its attempts and waited out ``ack_timeout`` — at which point a
 :class:`~repro.spider.evidence.MissingAckEvidence` record is produced
 and the recorder raises the paper's out-of-band alarm.
 
-The service plugs into the recorder through its send/receive hooks: no
+The service plugs into the recorder through its sent/ACK hooks: no
 recorder code path changes, the tracking rides alongside.
 """
 

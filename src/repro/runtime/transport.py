@@ -209,10 +209,6 @@ class LoopbackHub:
             self._queue,
             (latency, next(self._seq), receiver, encode_frames(kept)))
 
-    @property
-    def in_flight(self) -> int:
-        return len(self._queue)
-
     def deliver_next(self) -> bool:
         """Deliver the next entry; False when nothing is in flight.
 

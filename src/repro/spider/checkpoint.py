@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from ..bgp.prefix import Prefix
 from ..bgp.route import Route
@@ -48,14 +48,6 @@ class RoutingState:
         for table in self.exports.values():
             prefixes.update(table)
         return prefixes
-
-    def import_route(self, neighbor: int,
-                     prefix: Prefix) -> Optional[Route]:
-        return self.imports.get(neighbor, {}).get(prefix)
-
-    def export_route(self, neighbor: int,
-                     prefix: Prefix) -> Optional[Route]:
-        return self.exports.get(neighbor, {}).get(prefix)
 
     def serialized_size(self) -> int:
         """Snapshot size in bytes (the §7.7 snapshot measurement)."""

@@ -10,7 +10,7 @@ as tcpdump separates them in §7.6), and drives verification end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, \
     Optional, Sequence, Tuple
 
@@ -62,18 +62,12 @@ class SpiderNode:
                      Sequence[LogEntry]] = None):
         self.identity = identity
         self.registry = registry
-        # Store kwargs are forwarded only when set, so custom recorder
-        # factories that predate durability keep working unchanged.
-        extra: Dict[str, object] = {}
-        if log_store is not None:
-            extra["log_store"] = log_store
-        if recovered_entries is not None:
-            extra["recovered_entries"] = recovered_entries
         self.recorder = recorder_factory(
             identity=identity, registry=registry, scheme=scheme,
             promises=promises, config=config, clock=clock,
             transport=transport, master_seed=master_seed,
-            schedule=schedule, **extra)
+            schedule=schedule, log_store=log_store,
+            recovered_entries=recovered_entries)
         self.proofgen = ProofGenerator(self.recorder)
         self.checker = Checker(identity.asn, registry, scheme)
         #: Commitments received from neighbors: (elector, time) → message.
@@ -276,8 +270,7 @@ class SpiderDeployment:
 
         outcomes: List[VerificationOutcome] = []
         for neighbor in neighbors:
-            node = self.nodes.get(neighbor)
-            if node is None:
+            if neighbor not in self.nodes:
                 continue
             proofs = elector_node.proofgen.proofs_for(
                 reconstruction, neighbor,
@@ -286,27 +279,41 @@ class SpiderDeployment:
             if meter is not None:
                 meter.record(PROOF_TRAFFIC, proofs.wire_size(),
                              at=self.network.sim.now)
-            commitment = node.commitment_from(elector, commit_time)
-            if commitment is None:
-                # The neighbor never got the commitment — use the
-                # elector's own record (a real deployment would raise an
-                # alarm; integration tests verify delivery separately).
-                commitment = elector_node.recorder.commitments[-1].message
-                for record in elector_node.recorder.commitments:
-                    if record.commit_time == commit_time:
-                        commitment = record.message
-            view = node.view_at(commit_time)
-            report = node.checker.check(
-                commitment, proofs,
-                my_exports_to_elector=view.exports.get(elector, {}),
-                my_imports_from_elector=view.imports.get(elector, {}),
-                promise=elector_node.recorder.promises.get(neighbor),
-                watch=watch.get(neighbor, ()),
-                elector_scheme=elector_node.recorder.scheme)
-            outcomes.append(VerificationOutcome(
-                elector=elector, neighbor=neighbor,
-                commit_time=commit_time, proofs=proofs, report=report))
+            outcomes.append(self.check_proofs(
+                elector, neighbor, commit_time, proofs,
+                watch=watch.get(neighbor, ())))
         return outcomes
+
+    def check_proofs(self, elector: int, neighbor: int,
+                     commit_time: float, proofs: ProofSet,
+                     watch: Sequence[Prefix] = ()
+                     ) -> VerificationOutcome:
+        """``neighbor`` checks ``proofs`` (possibly tampered) against the
+        commitment it received for ``commit_time`` and its own logged
+        view of the elector."""
+        elector_node = self.nodes[elector]
+        node = self.nodes[neighbor]
+        commitment = node.commitment_from(elector, commit_time)
+        if commitment is None:
+            # The neighbor never got the commitment — use the elector's
+            # own record (a real deployment would raise an alarm;
+            # integration tests verify delivery separately).
+            records = elector_node.recorder.commitments
+            commitment = next(
+                (record.message for record in records
+                 if record.commit_time == commit_time),
+                records[-1].message)
+        view = node.view_at(commit_time)
+        report = node.checker.check(
+            commitment, proofs,
+            my_exports_to_elector=view.exports.get(elector, {}),
+            my_imports_from_elector=view.imports.get(elector, {}),
+            promise=elector_node.recorder.promises.get(neighbor),
+            watch=watch,
+            elector_scheme=elector_node.recorder.scheme)
+        return VerificationOutcome(
+            elector=elector, neighbor=neighbor,
+            commit_time=commit_time, proofs=proofs, report=report)
 
     def all_clean(self, outcomes: List[VerificationOutcome]) -> bool:
         return all(o.report.ok for o in outcomes)

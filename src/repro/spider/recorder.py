@@ -13,7 +13,7 @@ bit-for-bit the same MTT (Section 6.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, \
     Sequence, Set, Tuple
 
@@ -42,7 +42,6 @@ from .wire import SpiderAck, SpiderAnnounce, SpiderCommitment, \
 
 if TYPE_CHECKING:
     from ..bgp.speaker import Speaker
-    from ..netsim.events import Simulator
 
 
 class CommitmentOrderError(ValueError):
@@ -149,7 +148,6 @@ class Recorder:
         #: on these; see :mod:`repro.runtime.delivery`).
         self.sent_hooks: List[Callable[[object], None]] = []
         self.ack_hooks: List[Callable[[SpiderAck], None]] = []
-        self.receive_hooks: List[Callable[[object], None]] = []
         #: The warm labeling pool (spawned lazily on the first
         #: multi-worker commitment, reused across rounds; see
         #: repro.mtt.pool).  ``close()`` shuts it down.
@@ -260,10 +258,6 @@ class Recorder:
     def add_ack_hook(self, hook: Callable[["SpiderAck"], None]) -> None:
         """Called with every valid ACK after it clears its message."""
         self.ack_hooks.append(hook)
-
-    def add_receive_hook(self, hook: Callable[[object], None]) -> None:
-        """Called with every inbound message before it is handled."""
-        self.receive_hooks.append(hook)
 
     # ------------------------------------------------------------------
     # Instrumented primitives
@@ -421,8 +415,6 @@ class Recorder:
             self._receive(message)
 
     def _receive(self, message: object) -> None:
-        for hook in self.receive_hooks:
-            hook(message)
         if isinstance(message, SpiderAnnounce):
             self._receive_announce(message)
         elif isinstance(message, SpiderWithdraw):
@@ -600,11 +592,6 @@ class Recorder:
         neighbors.update(self.state.exports)
         neighbors.discard(self.asn)
         return sorted(neighbors)
-
-    def start_periodic_commitments(self, sim: "Simulator") -> None:
-        """Hook the commitment timer onto the event loop."""
-        sim.every(self.config.commit_interval,
-                  lambda: self.make_commitment())
 
     # ------------------------------------------------------------------
     # Consistency check (Section 6.2, last paragraph)

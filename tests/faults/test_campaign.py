@@ -9,8 +9,11 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.faults.adversaries import ATTACK_CLASSES
-from repro.faults.campaign import main, run_campaign, run_suite
+from repro.core.verdict import FaultKind
+from repro.faults.adversaries import ATTACK_CLASSES, SEC74_SPECS, \
+    adversary_for
+from repro.faults.campaign import main, run_campaign, run_spec, run_suite
+from repro.faults.oracle import detectors
 from tests.strategies import campaign_coordinates
 
 
@@ -48,6 +51,32 @@ def test_cli_writes_report_and_exits_zero(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["ok"] and report["seed"] == 1
     assert json.loads(capsys.readouterr().out) == report
+
+
+#: The detectors §7.4 names, per pinned spec: the upstream AS misses
+#: its bit proof, the downstream ASes hold a 1-proof for the null route,
+#: the tampered proof fails the commitment hash; the equivocation
+#: (beyond the paper) is caught by the lied-to AS on receipt.
+SEC74_DETECTORS = {
+    "route-drop": {7: {FaultKind.MISSING_PROOF}},
+    "wrongful-export": {7: {FaultKind.BROKEN_PROMISE},
+                        8: {FaultKind.BROKEN_PROMISE}},
+    "proof-tamper": {8: {FaultKind.INVALID_PROOF}},
+    "equivocation": {8: {FaultKind.EQUIVOCATION}},
+}
+
+
+@pytest.mark.parametrize("spec", SEC74_SPECS,
+                         ids=[spec.attack for spec in SEC74_SPECS])
+def test_sec74_spec_matches_the_paper(spec):
+    """§7.4: each injected fault at AS 5 is detected by the AS the paper
+    names, and the honest control world raises nothing."""
+    run = run_spec(adversary_for(spec.attack), spec)
+    assert run.ok and run.problems == []
+    assert detectors(run.faulty.spider) == SEC74_DETECTORS[spec.attack]
+    assert run.control.spider == [] and run.control.netreview == []
+    if spec.attack == "equivocation":
+        assert run.faulty.extras["equivocation_poms"] >= 1
 
 
 @pytest.mark.campaign

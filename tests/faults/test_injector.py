@@ -9,12 +9,12 @@ import pytest
 
 from repro.bgp.prefix import Prefix
 from repro.core.verdict import FaultKind
+from repro.faults.adversaries import FEED_ASN, FILLER_PREFIX, GOOD_PREFIX
 from repro.faults.injector import AckWithholdingRecorder, \
     EquivocatingRecorder, FilteringRecorder, install_export_filter, \
     install_export_leak, install_export_mutator, install_import_filter, \
     shorten_as_path, tamper_bit_proof, tamper_log_entry, \
     tamper_proof_set
-from repro.faults.scenarios import FEED_ASN, FILLER_PREFIX, GOOD_PREFIX
 from repro.netsim.network import Network, TraceEvent
 from repro.netsim.topology import FOCUS_AS, INJECTION_AS, \
     figure5_topology

@@ -1,54 +1,59 @@
-"""The §7.4 functionality checks as tests: every fault is detected by
-the right party, and the clean runs stay clean."""
+"""The §7.4 functionality checks, one claim per test, on the pinned
+campaign specs: every fault is detected by the right party, and the
+honest control worlds stay clean.
+
+The clean baseline is the control world of the route-drop spec (the
+same Figure 5 network with AS 5 honest); the fixed export policy is the
+control world of the wrongful-export spec.  The equivocation spec is
+checked in ``test_campaign.test_sec74_spec_matches_the_paper``.
+"""
 
 import pytest
 
 from repro.core.verdict import FaultKind
-from repro.faults.scenarios import clean_baseline, \
-    equivocating_commitments, overaggressive_filter, tampered_bit_proof, \
-    wrongly_exporting, wrongly_exporting_fixed
+from repro.faults.adversaries import SEC74_SPECS, adversary_for
+from repro.faults.campaign import run_spec
+from repro.faults.oracle import detectors
 
 
 @pytest.fixture(scope="module")
-def results():
-    return {
-        "clean": clean_baseline(),
-        "filter": overaggressive_filter(),
-        "export": wrongly_exporting(),
-        "export-fixed": wrongly_exporting_fixed(),
-        "tamper": tampered_bit_proof(),
-        "equivocate": equivocating_commitments(),
-    }
+def runs():
+    return {spec.attack: run_spec(adversary_for(spec.attack), spec)
+            for spec in SEC74_SPECS if spec.attack != "equivocation"}
+
+
+def _detected(result):
+    return bool(result.spider or result.netreview)
 
 
 class TestCleanBaseline:
-    def test_no_detection(self, results):
-        assert not results["clean"].detected
+    def test_no_detection(self, runs):
+        assert not _detected(runs["route-drop"].control)
 
-    def test_all_neighbors_checked(self, results):
-        assert len(results["clean"].outcomes) == 5
+    def test_all_neighbors_checked(self, runs):
+        outcomes = runs["route-drop"].control.outcomes
+        assert sorted(o.neighbor for o in outcomes) == [2, 4, 6, 7, 8]
 
 
 class TestOveraggressiveFilter:
     """Fault 1: 'the upstream AS raised an alarm because it did not
     receive a bit proof for the route it had supplied'."""
 
-    def test_detected(self, results):
-        assert results["filter"].detected
+    def test_detected(self, runs):
+        assert runs["route-drop"].ok
+        assert _detected(runs["route-drop"].faulty)
 
-    def test_upstream_as_detects(self, results):
-        assert 7 in results["filter"].detectors
+    def test_upstream_as_detects(self, runs):
+        assert 7 in detectors(runs["route-drop"].faulty.spider)
 
-    def test_detection_is_about_the_missing_input(self, results):
-        kinds = results["filter"].detectors[7]
-        assert kinds & {FaultKind.MISSING_PROOF, FaultKind.FALSE_BIT}
+    def test_detection_is_about_the_missing_input(self, runs):
+        kinds = detectors(runs["route-drop"].faulty.spider)[7]
+        assert kinds == {FaultKind.MISSING_PROOF}
 
-    def test_downstreams_do_not_false_alarm(self, results):
+    def test_downstreams_do_not_false_alarm(self, runs):
         # Consumers see a consistent (if degraded) world; the producer is
         # the designated detector for this fault.
-        for neighbor, kinds in results["filter"].detectors.items():
-            if neighbor != 7:
-                assert FaultKind.BROKEN_PROMISE not in kinds
+        assert set(detectors(runs["route-drop"].faulty.spider)) == {7}
 
 
 class TestWronglyExporting:
@@ -56,51 +61,40 @@ class TestWronglyExporting:
     the null route, which was better than the route it had actually
     received'."""
 
-    def test_detected(self, results):
-        assert results["export"].detected
+    def test_detected(self, runs):
+        assert runs["wrongful-export"].ok
+        assert _detected(runs["wrongful-export"].faulty)
 
-    def test_downstream_ases_detect(self, results):
-        detectors = set(results["export"].detectors)
-        assert detectors & {7, 8}
+    def test_downstream_ases_detect(self, runs):
+        assert set(detectors(runs["wrongful-export"].faulty.spider)) == \
+            {7, 8}
 
-    def test_kind_is_broken_promise(self, results):
-        for kinds in results["export"].detectors.values():
+    def test_kind_is_broken_promise(self, runs):
+        for kinds in detectors(
+                runs["wrongful-export"].faulty.spider).values():
             assert FaultKind.BROKEN_PROMISE in kinds
 
-    def test_fixed_policy_is_clean(self, results):
-        assert not results["export-fixed"].detected
+    def test_fixed_policy_is_clean(self, runs):
+        assert not _detected(runs["wrongful-export"].control)
 
 
 class TestTamperedBitProof:
     """Fault 3: 'the downstream AS detected that the proof did not match
     the hash value from the commitment'."""
 
-    def test_detected(self, results):
-        assert results["tamper"].detected
+    def test_detected(self, runs):
+        assert runs["proof-tamper"].ok
+        assert _detected(runs["proof-tamper"].faulty)
 
-    def test_tampered_recipient_sees_invalid_proof(self, results):
-        assert FaultKind.INVALID_PROOF in results["tamper"].detectors[8]
-
-    def test_untampered_recipient_sees_real_violation(self, results):
-        assert FaultKind.BROKEN_PROMISE in results["tamper"].detectors[7]
-
-
-class TestEquivocation:
-    def test_detected(self, results):
-        assert results["equivocate"].detected
-
-    def test_multiple_neighbors_can_prove_it(self, results):
-        detectors = [n for n, kinds in
-                     results["equivocate"].detectors.items()
-                     if FaultKind.EQUIVOCATION in kinds]
-        assert len(detectors) >= 2
+    def test_tampered_recipient_sees_invalid_proof(self, runs):
+        kinds = detectors(runs["proof-tamper"].faulty.spider)[8]
+        assert FaultKind.INVALID_PROOF in kinds
 
 
 class TestAllFaultsDetectedExactlyLikeThePaper:
-    def test_summary(self, results):
+    def test_summary(self, runs):
         """The §7.4 headline: 'in each case the fault was detected by
         one of the ASes'."""
-        for name in ("filter", "export", "tamper"):
-            assert results[name].detected, f"{name} went undetected"
-        for name in ("clean", "export-fixed"):
-            assert not results[name].detected, f"{name} false-positived"
+        for name, run in runs.items():
+            assert _detected(run.faulty), f"{name} went undetected"
+            assert not _detected(run.control), f"{name} false-positived"
